@@ -1,11 +1,11 @@
 //! Criterion microbenches for the transport hot path: the per-ACK
-//! sender machine, the receiver's out-of-order interval merge, and
-//! timer-wheel arm/fire/re-arm — the three pieces the hot/cold
-//! flow-state split and the wheel are meant to keep fast.
+//! sender machine, the receiver's out-of-order interval merge, and the
+//! event queue — retransmission-timer arm/fire/re-arm on its far lane
+//! and the packet-event mix on its calendar ring.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use occamy_sim::{
-    CcAlgo, Event, EventQueue, FlowRx, FlowState, SimConfig, TransportConsts, MS, US,
+    CcAlgo, Event, EventQueue, FlowRx, FlowState, Ps, SimConfig, TransportConsts, MS, NS, US,
 };
 use std::hint::black_box;
 
@@ -78,8 +78,8 @@ fn bench_on_data(c: &mut Criterion) {
 }
 
 /// Timer arm/fire through the event queue: one pending timer per flow,
-/// RTO-scale deadlines, popped in deadline order — the wheel path that
-/// used to be heap sift traffic.
+/// RTO-scale deadlines, popped in deadline order — the far-lane path,
+/// with each timer migrating into the calendar ring before it pops.
 fn arm_fire(flows: u64) -> u64 {
     let mut q = EventQueue::new();
     for f in 0..flows {
@@ -112,8 +112,63 @@ fn rearm_cycle(rounds: u64) -> u64 {
     fired
 }
 
+/// The packet-event hold model: a queue of 40 k pending events (the
+/// 128-host fat-tree's mean) where every pop re-arms one event at a
+/// delay drawn from the fat-tree's recorded push mix at 100 G — a
+/// quarter ACK serializations (3.2 ns), a quarter data serializations
+/// (120 ns), half link arrivals (a serialization plus 10 µs), and one
+/// push in 2 000 a 5 ms retransmission timer.
+struct PacketMix {
+    q: EventQueue,
+    x: u64,
+}
+
+impl PacketMix {
+    const PENDING: u32 = 40_000;
+
+    fn new() -> Self {
+        let mut m = PacketMix {
+            q: EventQueue::new(),
+            x: 0x2545_F491_4F6C_DD1D,
+        };
+        for host in 0..Self::PENDING {
+            let at = m.delay() + (m.x >> 20) % (10 * US);
+            m.q.push(at, Event::HostTxFree { host });
+        }
+        m
+    }
+
+    fn delay(&mut self) -> Ps {
+        self.x ^= self.x << 13;
+        self.x ^= self.x >> 7;
+        self.x ^= self.x << 17;
+        let x = self.x;
+        if x % 2_000 == 0 {
+            return 5 * MS;
+        }
+        let ser = [3_200, 120 * NS][(x >> 1) as usize & 1];
+        ser + [0, 10 * US][(x >> 2) as usize & 1] + (x >> 8) % NS
+    }
+
+    /// `ops` pop + re-arm pairs.
+    fn run(&mut self, ops: u64) -> Ps {
+        let mut now = 0;
+        for _ in 0..ops {
+            let (t, ev) = self.q.pop().expect("the hold model keeps the queue full");
+            now = t;
+            let at = t + self.delay();
+            self.q.push(at, ev);
+        }
+        now
+    }
+}
+
 fn bench_timers(c: &mut Criterion) {
     let mut group = c.benchmark_group("timer_wheel");
+    let mut mix = PacketMix::new();
+    group.bench_function("packet_mix_40k_pending_10k_ops", |b| {
+        b.iter(|| black_box(mix.run(10_000)));
+    });
     group.bench_function("arm_fire_10k_flows", |b| {
         b.iter(|| black_box(arm_fire(10_000)));
     });

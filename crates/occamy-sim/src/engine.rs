@@ -311,7 +311,7 @@ fn arm_rto<E: Env>(ctx: &mut Ctx<'_>, env: &mut E, flow: FlowId) {
     f.rto_deadline = deadline;
     if !f.timer_armed() {
         f.set_timer_armed(true);
-        // Timers live on the wheel, not the packet heap.
+        // Milliseconds out: the queue parks it on its far lane.
         env.push_timer(deadline, Event::Rto { flow });
     }
 }

@@ -1,8 +1,8 @@
 //! The event queue: a time-ordered queue with deterministic
-//! tie-breaking, backed by a hierarchical timer wheel.
+//! tie-breaking, backed by a calendar ring and a far lane.
 //!
-//! The queue is built for event-loop throughput (profiles of the figure
-//! sweeps showed queue maintenance dominating wall clock):
+//! The queue is built for event-loop throughput (profiles of the
+//! benchmark workloads put queue maintenance first among the layers):
 //!
 //! - **Interned packets**: `Arrive` carries a [`PacketId`] into a slab
 //!   pool instead of the ~56-byte [`Packet`], so a queue entry is a few
@@ -10,22 +10,26 @@
 //!   making the steady-state loop allocation-free.
 //! - **Compact events**: indices are `u32`; periodic samplers live in the
 //!   world and are referenced by id.
-//! - **A timer wheel** ([`crate::timer::TimerWheel`]) instead of a
-//!   binary heap. A simulator's pushes are near-future, which is a
-//!   min-heap's worst case (every push sifts to near the root), and
-//!   transport runs keeping tens of thousands of pending `Rto` timers
-//!   made the heap deep for every packet event. The wheel buckets
-//!   entries by expiry tick in O(1) amortized and the run loop merges
-//!   it in via a single next-deadline probe. Retransmission timers go
-//!   through [`EventQueue::push_timer`]; their milliseconds-out
-//!   deadlines park on the wheel's high levels, off the packet path,
-//!   until the cursor approaches.
+//! - **A one-hop calendar ring** ([`crate::timer::TimerWheel`]) instead
+//!   of a heap. A simulator's pushes are near-future, which is a
+//!   min-heap's worst case, and nearly all of them are one hop out or
+//!   less. The ring's ≈ 2 ns buckets span ≈ 33.6 µs, three times the
+//!   longest hop of the modelled fabrics, so every packet event is
+//!   bucketed once and popped from its sorted bucket without
+//!   cascading. Retransmission timers go through
+//!   [`EventQueue::push_timer`]; their milliseconds-out deadlines wait
+//!   on the far lane, a hierarchical wheel over ring spans, and migrate
+//!   into the ring just before the cursor reaches them.
 //! - **A deferred lane** for the bulk of setup-time events (flow
-//!   starts): sorted once instead of cascading through the wheel.
+//!   starts): sorted once instead of passing through the ring.
 //!
 //! Events at equal timestamps pop in insertion order regardless of lane
-//! (wheel or deferred — both share one global sequence counter), which
-//! keeps runs bit-for-bit reproducible.
+//! (ring, far or deferred — all share one global sequence counter), so
+//! pops follow the exact `(time, seq)` order of a heap and runs stay
+//! bit-for-bit reproducible. Queue storage is O(peak pending events):
+//! ring and far entries share one slab that grows to the peak number of
+//! pending entries, and the ring's fixed tables are allocated on first
+//! use.
 
 use crate::packet::{FlowId, Packet};
 use crate::time::Ps;
@@ -34,7 +38,7 @@ use crate::timer::TimerWheel;
 /// A node in the simulated network.
 ///
 /// Indices are `u32` so an [`Event::Arrive`] — the queue's most common
-/// entry — packs into 16 bytes; a wheel entry (key + event) is then two
+/// entry — packs into 16 bytes; a queue entry (key + event) is then two
 /// 16-byte halves instead of 40 loose bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NodeId {
@@ -159,13 +163,20 @@ impl PacketPool {
 /// Heap ordering key: `(time, global insertion sequence)`.
 pub(crate) use crate::timer::Key;
 
+/// The queue's two lanes, as chosen by [`EventQueue::next_lane`].
+#[derive(Clone, Copy)]
+enum Lane {
+    Wheel,
+    Deferred,
+}
+
 /// Time-ordered event queue.
 ///
 /// Events at equal timestamps pop in insertion order, which makes runs
 /// bit-for-bit reproducible regardless of queue internals.
 #[derive(Default)]
 pub struct EventQueue {
-    /// All runtime events, bucketed by expiry tick.
+    /// All runtime events: the calendar ring and its far lane.
     wheel: TimerWheel,
     /// Setup-time events, kept sorted descending by `(at, seq)` so the
     /// next one is `last()`; sorted lazily before the first pop after a
@@ -177,7 +188,16 @@ pub struct EventQueue {
 }
 
 impl EventQueue {
-    /// Creates an empty queue.
+    /// Width of one calendar-ring bucket (2¹¹ ps ≈ 2.05 ns). Entries of
+    /// one bucket are sorted by key when the bucket drains.
+    pub const BUCKET_PS: Ps = crate::timer::BUCKET_PS;
+
+    /// Span of the calendar ring after its cursor (2²⁵ ps ≈ 33.6 µs).
+    /// Entries further out wait on the far lane until the cursor
+    /// approaches.
+    pub const HORIZON_PS: Ps = crate::timer::HORIZON_PS;
+
+    /// Creates an empty queue. Allocates nothing until the first push.
     pub fn new() -> Self {
         EventQueue::default()
     }
@@ -207,9 +227,9 @@ impl EventQueue {
     }
 
     /// Schedules a timer event (an [`Event::Rto`]). Identical to
-    /// [`EventQueue::push`] — the wheel places any entry by its
-    /// deadline, so a milliseconds-out timer lands on a high level and
-    /// stays clear of the packet path with no separate lane needed.
+    /// [`EventQueue::push`] — the queue places any entry by its
+    /// deadline, so a milliseconds-out timer lands on the far lane and
+    /// stays clear of the ring with no separate call path needed.
     /// The distinct name keeps timer call sites greppable and gives
     /// timers a seam should they ever need different handling again.
     #[inline]
@@ -230,13 +250,32 @@ impl EventQueue {
         self.pool.take(id)
     }
 
+    /// The lane holding the global `(time, seq)` minimum, with its key:
+    /// the single probe behind every pop and peek. The wheel probe is
+    /// O(1) once its ready buffer holds the next bucket.
     #[inline]
-    fn settle_deferred(&mut self) {
+    fn next_lane(&mut self) -> Option<(Lane, Key)> {
         if self.deferred_dirty {
             // Descending, so the earliest (at, seq) sits at the end.
             self.deferred
                 .sort_unstable_by_key(|d| std::cmp::Reverse(d.0));
             self.deferred_dirty = false;
+        }
+        let w = self.wheel.peek();
+        match (self.deferred.last(), w) {
+            (Some(&(d, _)), Some(wk)) if d < wk => Some((Lane::Deferred, d)),
+            (_, Some(wk)) => Some((Lane::Wheel, wk)),
+            (Some(&(d, _)), None) => Some((Lane::Deferred, d)),
+            (None, None) => None,
+        }
+    }
+
+    /// Pops the head of `lane`, which [`EventQueue::next_lane`] chose.
+    #[inline]
+    fn take(&mut self, lane: Lane) -> Option<(Key, Event)> {
+        match lane {
+            Lane::Wheel => self.wheel.pop(),
+            Lane::Deferred => self.deferred.pop(),
         }
     }
 
@@ -246,39 +285,19 @@ impl EventQueue {
     }
 
     /// Pops the earliest event if it is scheduled at or before `limit` —
-    /// the run loop's single probe-and-pop (a separate peek would settle
-    /// and compare the lanes twice per event).
+    /// the run loop's single probe-and-pop.
+    #[inline]
     pub fn pop_at_most(&mut self, limit: Ps) -> Option<(Ps, Event)> {
-        self.settle_deferred();
-        // Pick the lane holding the global (time, seq) minimum. The
-        // wheel probe is O(1) once its ready buffer is filled.
-        let w = self.wheel.peek();
-        let from_deferred = match (self.deferred.last(), w) {
-            (Some(d), Some(wk)) => d.0 < wk,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => return None,
-        };
-        let ((at, _), event) = if from_deferred {
-            if self.deferred.last()?.0 .0 > limit {
-                return None;
-            }
-            self.deferred.pop()?
-        } else {
-            if w?.0 > limit {
-                return None;
-            }
-            self.wheel.pop()?
-        };
-        Some((at, event))
+        let (lane, (at, _)) = self.next_lane()?;
+        if at > limit {
+            return None;
+        }
+        self.take(lane).map(|((at, _), event)| (at, event))
     }
 
     /// Time of the earliest pending event.
     pub fn peek_time(&mut self) -> Option<Ps> {
-        self.settle_deferred();
-        let d = self.deferred.last().map(|e| e.0 .0);
-        let w = self.wheel.peek().map(|(at, _)| at);
-        [d, w].into_iter().flatten().min()
+        self.next_lane().map(|(_, (at, _))| at)
     }
 
     /// Number of pending events.
@@ -302,19 +321,8 @@ impl EventQueue {
 
     /// Pops the earliest event together with its `(time, seq)` key.
     pub(crate) fn pop_keyed(&mut self) -> Option<(Key, Event)> {
-        self.settle_deferred();
-        let w = self.wheel.peek();
-        let from_deferred = match (self.deferred.last(), w) {
-            (Some(d), Some(wk)) => d.0 < wk,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => return None,
-        };
-        if from_deferred {
-            self.deferred.pop()
-        } else {
-            self.wheel.pop()
-        }
+        let (lane, _) = self.next_lane()?;
+        self.take(lane)
     }
 
     /// Schedules `event` under an explicit, already-assigned key.
@@ -477,9 +485,9 @@ mod tests {
 
     #[test]
     fn scheduled_nodes_are_compact() {
-        // The point of interning and the u32 NodeId: a wheel entry is
-        // (16-byte key, 16-byte event) — cascades and slot drains move
-        // two aligned halves, not a cache-line-straddling payload.
+        // The point of interning and the u32 NodeId: a queue entry is
+        // (16-byte key, 16-byte event) — bucket drains move two aligned
+        // halves, not a cache-line-straddling payload.
         assert!(
             std::mem::size_of::<Event>() <= 16,
             "Event grew to {} bytes",

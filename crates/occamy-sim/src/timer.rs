@@ -1,31 +1,42 @@
-//! A hierarchical timer wheel — the event queue's scheduling core.
+//! The event queue's scheduling core: a one-hop calendar ring in front
+//! of a hierarchical far lane.
 //!
-//! A discrete-event simulator pushes *near-future* events: a
-//! serialization completion a few hundred ns out, an arrival one link
-//! propagation away, a retransmission timer milliseconds ahead. On a
-//! min-heap a near-minimum key is the worst case — every push sifts to
-//! near the root, every pop sifts the full depth, and transport-heavy
-//! runs keeping tens of thousands of pending RTO timers make that depth
-//! O(flows). The wheel turns both operations into O(1) amortized
-//! bucketing: an entry lands in a slot indexed by its expiry tick,
-//! levels cover geometrically growing horizons, and entries cascade
-//! toward level 0 as the cursor advances. The main loop sees the wheel
-//! through a single next-deadline probe ([`TimerWheel::peek`]).
+//! A packet simulator's pushes come in a few fixed distances: an ACK or
+//! data serialization (nanoseconds to hundreds of nanoseconds), a link
+//! arrival one serialization plus one propagation delay out (~10 µs),
+//! and, rarely, a retransmission timer milliseconds ahead. The queue is
+//! shaped around that mix:
+//!
+//! - **The ring** is a calendar of 2¹⁴ buckets, each 2¹¹ ps ≈ 2.05 ns
+//!   wide, covering the 2²⁵ ps ≈ 33.6 µs after the cursor. Every packet
+//!   event (`Arrive`, `PortFree`, `HostTxFree`) lands there once and is
+//!   popped from its bucket after one sort of that bucket: nothing
+//!   cascades. A bucket is narrower than the shortest serialization time
+//!   of the modelled fabrics (a 40-byte ACK at 100 G takes 3.2 ns), and
+//!   the horizon is three times their longest hop (11.2 µs: a full
+//!   packet at 10 G plus a 10 µs link). A two-level occupancy bitmap
+//!   finds the next occupied bucket in a bounded number of word probes
+//!   at any event density.
+//! - **The far lane** holds everything past the horizon: RTO/PTO
+//!   timers, far-future events. It is a hierarchical wheel over
+//!   *blocks* (ring spans, 2²⁵ ps) with 64 slots per level and enough
+//!   levels to cover every `Ps`, so arms and cascades are O(1)
+//!   amortized and no key is out of range. Before the ring's cursor
+//!   enters a block, that block's far entries migrate into the ring.
 //!
 //! **Ordering is exact, not approximate.** Every entry keeps its full
-//! `(time, seq)` queue key: slots only bucket entries, and whichever
-//! bucket the cursor drains next is sorted before it is served. Merged
-//! against the deferred lane by key, runs remain bit-for-bit identical
-//! to a heap-backed queue — pinned by the fire-order proptest in
-//! `tests/timer_wheel.rs` and the golden/shard byte-identity gates.
+//! `(time, seq)` key; lanes and buckets only group entries, and the
+//! bucket the cursor drains is sorted by key before it is served. Runs
+//! are therefore bit-for-bit identical to a heap-backed queue, which the
+//! fire-order proptests in `tests/timer_wheel.rs` and the golden/shard
+//! byte-identity gates pin.
 //!
-//! Geometry: level-0 slots are 2¹² ps ≈ 4.1 ns wide (below one packet
-//! serialization time at 100 G, so packet-event buckets hold a few
-//! entries), each of the 6 levels has 64 slots, and the wheel spans
-//! 2⁴⁸ ps ≈ 281 s from the cursor — beyond the 60 s RTO cap even with
-//! backoff. Entries past the span (arbitrary far-future events are
-//! legal) fall into a lazily sorted overflow lane that is popped
-//! directly, like the deferred lane.
+//! **Storage is O(peak pending events).** Ring buckets and far slots
+//! are singly linked lists threaded through one slab of nodes with a
+//! free list, so the slab grows to the peak number of pending entries
+//! and every bucket costs one `u32` head. The ring's 64 KiB of heads
+//! and its bitmap are allocated on the first arm that lands in it, so
+//! an empty queue allocates nothing.
 
 use crate::event::Event;
 use crate::time::Ps;
@@ -34,234 +45,391 @@ use crate::time::Ps;
 /// key the event heap uses, so cross-lane ties break identically.
 pub(crate) type Key = (Ps, u64);
 
-/// log2 of the level-0 slot width in picoseconds (≈ 4.1 ns).
-const GRAN_BITS: u32 = 12;
-/// log2 of the slot count per level.
-const SLOT_BITS: u32 = 6;
-/// Slots per level.
-const SLOTS: usize = 1 << SLOT_BITS;
-/// Slot-index mask.
-const MASK: u64 = SLOTS as u64 - 1;
-/// Wheel levels; total span is `2^(GRAN_BITS + LEVELS·SLOT_BITS)` ps.
-const LEVELS: usize = 6;
+/// log2 of a ring bucket's width in picoseconds (≈ 2.05 ns).
+const TICK_BITS: u32 = 11;
+/// log2 of the ring's bucket count.
+const RING_BITS: u32 = 14;
+/// Buckets in the ring.
+const RING: usize = 1 << RING_BITS;
+/// Bucket-index mask.
+const RING_MASK: u64 = RING as u64 - 1;
+/// Occupancy words in the ring's bitmap (one bit per bucket).
+const WORDS: usize = RING / 64;
+/// Words in the bitmap's summary level (one bit per occupancy word).
+const SUMMARY: usize = WORDS / 64;
+/// log2 of a far-lane block (one ring span) in picoseconds.
+const BLOCK_BITS: u32 = TICK_BITS + RING_BITS;
+/// log2 of the slot count per far-lane level.
+const FAR_SLOT_BITS: u32 = 6;
+/// Slots per far-lane level.
+const FAR_SLOTS: usize = 1 << FAR_SLOT_BITS;
+/// Far-slot index mask.
+const FAR_MASK: u64 = FAR_SLOTS as u64 - 1;
+/// Far-lane levels: enough 6-bit groups to cover every block index of a
+/// 64-bit `Ps`, so the far lane never overflows.
+const FAR_LEVELS: usize = (64 - BLOCK_BITS).div_ceil(FAR_SLOT_BITS) as usize;
+/// Width of one ring bucket.
+pub(crate) const BUCKET_PS: Ps = 1 << TICK_BITS;
+/// Span of the ring after its cursor.
+pub(crate) const HORIZON_PS: Ps = (RING as Ps) << TICK_BITS;
+/// End-of-list marker for slab links.
+const NIL: u32 = u32::MAX;
 
-/// Hierarchical timer wheel holding `(key, event)` entries.
+/// A pending entry in the slab, linked into one ring bucket or far slot
+/// (or, once drained, into the free list).
+#[derive(Clone, Copy)]
+struct Node {
+    key: Key,
+    event: Event,
+    next: u32,
+}
+
+/// Calendar ring + far lane holding `(key, event)` entries.
 ///
-/// All mutating accessors keep one invariant: every entry still sitting
-/// in a slot expires at a tick strictly greater than `cursor`, and its
-/// level is the highest 6-bit tick group in which its tick differs from
-/// the cursor's. Entries at or before the cursor live in `ready`
-/// (sorted descending, popped from the end).
+/// Lane invariants, with ticks `key.0 >> TICK_BITS`:
+///
+/// - `ready` holds every entry with tick `<= cursor`, sorted descending
+///   by key (popped from the end);
+/// - the ring holds ticks in `(cursor, cursor + RING]`, one bucket per
+///   tick (`tick & RING_MASK`), so no two ticks share a bucket;
+/// - the far lane holds the rest. Each far entry's block lies after the
+///   cursor's block, and `far.floor` is a lower bound on those blocks.
 pub(crate) struct TimerWheel {
-    /// `levels[l][slot]` holds entries whose tick differs from the
-    /// cursor's first in bit group `l`.
-    levels: Vec<Vec<Vec<(Key, Event)>>>,
-    /// Absolute level-0 tick the wheel has advanced to.
+    /// Entry storage shared by ring buckets and far slots.
+    nodes: Vec<Node>,
+    /// Head of the free-node list through `Node::next`.
+    free: u32,
+    /// Absolute tick of the last bucket drained into `ready`.
     cursor: u64,
-    /// Entries due at or before the cursor, sorted descending by key.
+    /// Entries due at or before the cursor tick, sorted descending.
     ready: Vec<(Key, Event)>,
-    /// Entries beyond the wheel span, sorted lazily (descending).
-    overflow: Vec<(Key, Event)>,
-    overflow_dirty: bool,
-    /// Entry count across all slots (excludes `ready` and `overflow`).
-    in_slots: usize,
-    /// Per-level slot-occupancy bitmaps: bit `j` set ⟺ `levels[l][j]`
-    /// is non-empty. Advancing finds the next occupied slot with one
-    /// mask-and-`trailing_zeros` per level instead of a 64-slot scan.
-    occ: [u64; LEVELS],
-    /// Cascade scratch buffer (swapped with slots so buffer capacities
-    /// circulate instead of being reallocated).
-    scratch: Vec<(Key, Event)>,
+    /// Ring bucket list heads, `RING` long once allocated. A head is
+    /// meaningful only while the bucket's occupancy bit is set.
+    heads: Vec<u32>,
+    /// Ring occupancy bitmap: bit `b` set ⟺ bucket `b` is non-empty.
+    occ: Vec<u64>,
+    /// Summary bitmap: bit `w` set ⟺ `occ[w] != 0`.
+    summary: [u64; SUMMARY],
+    /// Entries linked into ring buckets.
+    in_ring: usize,
+    far: FarLane,
 }
 
 impl Default for TimerWheel {
     fn default() -> Self {
         TimerWheel {
-            levels: (0..LEVELS)
-                .map(|_| (0..SLOTS).map(|_| Vec::new()).collect())
-                .collect(),
+            nodes: Vec::new(),
+            free: NIL,
             cursor: 0,
             ready: Vec::new(),
-            overflow: Vec::new(),
-            overflow_dirty: false,
-            in_slots: 0,
-            occ: [0; LEVELS],
-            scratch: Vec::new(),
+            heads: Vec::new(),
+            occ: Vec::new(),
+            summary: [0; SUMMARY],
+            in_ring: 0,
+            far: FarLane::default(),
         }
     }
 }
 
 impl TimerWheel {
-    /// Pending timer count.
+    /// Pending entry count.
     pub fn len(&self) -> usize {
-        self.ready.len() + self.in_slots + self.overflow.len()
+        self.ready.len() + self.in_ring + self.far.len
     }
 
-    /// Whether no timers are pending.
+    /// Whether no entries are pending.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
     /// Inserts an entry. `key.0` may be at any time, including before
-    /// previously drained slots (the entry then joins `ready` directly).
+    /// the cursor (the entry then joins `ready` at its sorted position).
     pub fn arm(&mut self, key: Key, event: Event) {
-        let tick = key.0 >> GRAN_BITS;
+        let tick = key.0 >> TICK_BITS;
         if tick <= self.cursor {
-            // Due at or before the wheel position: merge into the ready
-            // buffer at its sorted (descending) position.
             let pos = self.ready.partition_point(|e| e.0 > key);
             self.ready.insert(pos, (key, event));
             return;
         }
-        let diff = tick ^ self.cursor;
-        if diff >> GRAN_DIFF_LIMIT != 0 {
-            self.overflow.push((key, event));
-            self.overflow_dirty = true;
-            return;
+        let n = self.alloc(Node {
+            key,
+            event,
+            next: NIL,
+        });
+        if tick - self.cursor <= RING as u64 {
+            self.ring_link(n, tick);
+        } else {
+            self.far.link(&mut self.nodes, n, tick >> RING_BITS);
         }
-        let level = level_of(diff);
-        let slot = ((tick >> (SLOT_BITS * level as u32)) & MASK) as usize;
-        self.levels[level][slot].push((key, event));
-        self.occ[level] |= 1 << slot;
-        self.in_slots += 1;
     }
 
-    /// The earliest pending key, advancing the wheel as needed.
+    /// The earliest pending key, refilling `ready` if it is empty.
     pub fn peek(&mut self) -> Option<Key> {
-        let slot_min = self.ready_min();
-        let over_min = self.overflow_min();
-        match (slot_min, over_min) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
+        if self.ready.is_empty() && !self.refill() {
+            return None;
         }
+        self.ready.last().map(|e| e.0)
     }
 
     /// Pops the earliest pending entry.
     pub fn pop(&mut self) -> Option<(Key, Event)> {
-        let slot_min = self.ready_min();
-        let over_min = self.overflow_min();
-        match (slot_min, over_min) {
-            (None, None) => None,
-            (Some(_), None) => self.ready.pop(),
-            (None, Some(_)) => self.overflow.pop(),
-            (Some(a), Some(b)) if a < b => self.ready.pop(),
-            _ => self.overflow.pop(),
+        if self.ready.is_empty() && !self.refill() {
+            return None;
         }
+        self.ready.pop()
     }
 
-    /// Minimum key of the slot/ready side, draining slots into `ready`
-    /// as the cursor advances.
-    fn ready_min(&mut self) -> Option<Key> {
-        loop {
-            if let Some(&(k, _)) = self.ready.last() {
-                return Some(k);
-            }
-            if self.in_slots == 0 {
-                return None;
-            }
-            self.advance();
+    fn alloc(&mut self, node: Node) -> u32 {
+        if self.free != NIL {
+            let n = self.free;
+            self.free = self.nodes[n as usize].next;
+            self.nodes[n as usize] = node;
+            return n;
         }
+        let n = u32::try_from(self.nodes.len())
+            .ok()
+            .filter(|&n| n != NIL)
+            .expect("event queue exceeds u32 entries");
+        self.nodes.push(node);
+        n
     }
 
-    fn overflow_min(&mut self) -> Option<Key> {
-        if self.overflow_dirty {
-            self.overflow
-                .sort_unstable_by_key(|e| std::cmp::Reverse(e.0));
-            self.overflow_dirty = false;
+    /// Links node `n`, due at `tick` in `(cursor, cursor + RING]`, into
+    /// its ring bucket.
+    fn ring_link(&mut self, n: u32, tick: u64) {
+        debug_assert!(tick > self.cursor && tick - self.cursor <= RING as u64);
+        if self.heads.is_empty() {
+            // Zeroed, not NIL-filled: heads of empty buckets are never
+            // read, and zeroed memory comes cheaply from the allocator.
+            self.heads = vec![0; RING];
+            self.occ = vec![0; WORDS];
         }
-        self.overflow.last().map(|e| e.0)
+        let b = (tick & RING_MASK) as usize;
+        let (w, bit) = (b / 64, 1u64 << (b % 64));
+        self.nodes[n as usize].next = if self.occ[w] & bit != 0 {
+            self.heads[b]
+        } else {
+            self.occ[w] |= bit;
+            self.summary[w / 64] |= 1 << (w % 64);
+            NIL
+        };
+        self.heads[b] = n;
+        self.in_ring += 1;
     }
 
-    /// Moves the cursor to the next occupied slot, cascading it toward
-    /// level 0 until a tick group can be drained into `ready`. Requires
-    /// `in_slots > 0`.
+    /// Fills the empty `ready` buffer with the earliest pending bucket.
+    /// Returns `false` when nothing is pending.
     ///
-    /// Key ordering property of the level assignment: an entry sits at
-    /// level `l` because its tick agrees with the cursor on every group
-    /// above `l` and first differs in group `l` — so every level-`l`
-    /// entry expires strictly before every level-`l+1` entry. The
-    /// earliest pending slot is therefore the first occupied slot (from
-    /// the cursor's index) of the **lowest** occupied level; no
-    /// slot-by-slot stepping through empty regions is ever needed.
-    fn advance(&mut self) {
-        debug_assert!(self.ready.is_empty() && self.in_slots > 0);
+    /// Far entries migrate only when they could precede the ring's next
+    /// bucket: that bucket's block must reach `far.floor`. Packet events
+    /// never meet the far lane, so the common refill is one bitmap probe
+    /// and one bucket drain.
+    fn refill(&mut self) -> bool {
+        debug_assert!(self.ready.is_empty());
         loop {
-            let found = (0..LEVELS).find_map(|l| {
-                let idx = (self.cursor >> (SLOT_BITS * l as u32)) & MASK;
-                let masked = self.occ[l] & (u64::MAX << idx);
-                (masked != 0).then(|| (l, masked.trailing_zeros() as usize))
-            });
-            let Some((l, j)) = found else {
-                // All levels empty yet in_slots > 0 would be a broken
-                // invariant; bail out rather than spin.
-                debug_assert_eq!(self.in_slots, 0, "timer wheel lost entries");
-                return;
-            };
-            let shift = SLOT_BITS * l as u32;
-            // Start of the found slot: groups above `l` keep their
-            // current values, groups below `l` reset to zero. The
-            // cursor's own slot at any level is empty by construction
-            // (same-slot arms go to a lower level, same-tick arms to
-            // `ready`), so this never moves the cursor backwards.
-            let epoch = self.cursor & !(((1u64 << SLOT_BITS) << shift) - 1);
-            self.cursor = self.cursor.max(epoch + ((j as u64) << shift));
-            if l == 0 {
-                // Recycle the ready buffer's allocation into the slot.
-                std::mem::swap(&mut self.ready, &mut self.levels[0][j]);
-                self.occ[0] &= !(1 << j);
-                self.in_slots -= self.ready.len();
-                if self.ready.len() > 1 {
-                    self.ready.sort_unstable_by_key(|e| std::cmp::Reverse(e.0));
-                }
-                return;
-            }
-            // Cascade the slot's entries toward level 0 and rescan.
-            // Swapping through the scratch buffer keeps slot capacities
-            // circulating instead of reallocating on every cascade.
-            std::mem::swap(&mut self.scratch, &mut self.levels[l][j]);
-            self.occ[l] &= !(1 << j);
-            self.in_slots -= self.scratch.len();
-            let mut scratch = std::mem::take(&mut self.scratch);
-            for (key, event) in scratch.drain(..) {
-                let tick = key.0 >> GRAN_BITS;
-                debug_assert!(tick >= self.cursor);
-                if tick == self.cursor {
-                    // Due exactly at the new cursor position.
-                    let pos = self.ready.partition_point(|e| e.0 > key);
-                    self.ready.insert(pos, (key, event));
+            let next = self.ring_next();
+            let limit = next.map_or(u64::MAX, |tick| tick >> RING_BITS);
+            if limit >= self.far.floor {
+                if let Some((block, head)) = self.far.take_min(&mut self.nodes, limit) {
+                    self.migrate(block, head);
                     continue;
                 }
-                let lv = level_of(tick ^ self.cursor);
-                debug_assert!(lv < l, "cascade must descend");
-                let slot = ((tick >> (SLOT_BITS * lv as u32)) & MASK) as usize;
-                self.levels[lv][slot].push((key, event));
-                self.occ[lv] |= 1 << slot;
-                self.in_slots += 1;
             }
-            self.scratch = scratch;
-            if !self.ready.is_empty() {
-                return;
+            let Some(tick) = next else { return false };
+            self.drain(tick);
+            return true;
+        }
+    }
+
+    /// The earliest occupied ring tick, scanning buckets circularly from
+    /// the one after the cursor's.
+    fn ring_next(&self) -> Option<u64> {
+        if self.in_ring == 0 {
+            return None;
+        }
+        let start = ((self.cursor + 1) & RING_MASK) as usize;
+        let b = self
+            .next_occupied(start)
+            .or_else(|| self.next_occupied(0))?;
+        Some(self.cursor + 1 + ((b as u64).wrapping_sub(start as u64) & RING_MASK))
+    }
+
+    /// First occupied bucket at index `>= from` (no wrap): one word
+    /// probe, then at most `SUMMARY` summary words.
+    fn next_occupied(&self, from: usize) -> Option<usize> {
+        let w = from / 64;
+        let bits = self.occ[w] & (u64::MAX << (from % 64));
+        if bits != 0 {
+            return Some(w * 64 + bits.trailing_zeros() as usize);
+        }
+        let w = w + 1;
+        let mut s = w / 64;
+        let mut sum = *self.summary.get(s)? & (u64::MAX << (w % 64));
+        loop {
+            if sum != 0 {
+                let w = s * 64 + sum.trailing_zeros() as usize;
+                return Some(w * 64 + self.occ[w].trailing_zeros() as usize);
             }
+            s += 1;
+            sum = *self.summary.get(s)?;
+        }
+    }
+
+    /// Moves bucket `tick`'s entries into `ready`, sorted, and frees
+    /// their nodes. The cursor moves to `tick`.
+    fn drain(&mut self, tick: u64) {
+        self.cursor = tick;
+        let b = (tick & RING_MASK) as usize;
+        let w = b / 64;
+        self.occ[w] &= !(1 << (b % 64));
+        if self.occ[w] == 0 {
+            self.summary[w / 64] &= !(1 << (w % 64));
+        }
+        let mut n = self.heads[b];
+        while n != NIL {
+            let node = &mut self.nodes[n as usize];
+            self.ready.push((node.key, node.event));
+            let next = std::mem::replace(&mut node.next, self.free);
+            self.free = n;
+            n = next;
+        }
+        self.in_ring -= self.ready.len();
+        if self.ready.len() > 1 {
+            // Lists run newest first, so equal-time entries already sit
+            // in descending `seq` order and the sort is near-linear.
+            self.ready.sort_unstable_by_key(|e| std::cmp::Reverse(e.0));
+        }
+    }
+
+    /// Relinks far block `block`'s entries (list `head`) into the ring.
+    /// The cursor moves to the tick just before the block, so the whole
+    /// block lies inside the ring span. Requires every ring entry to lie
+    /// at or after the block's start.
+    fn migrate(&mut self, block: u64, mut head: u32) {
+        let cursor = (block << RING_BITS) - 1;
+        debug_assert!(cursor >= self.cursor, "migration moved the cursor back");
+        self.cursor = cursor;
+        while head != NIL {
+            let node = self.nodes[head as usize];
+            self.far.len -= 1;
+            self.ring_link(head, node.key.0 >> TICK_BITS);
+            head = node.next;
+        }
+    }
+
+    /// Bytes of storage the queue holds, including unused capacity.
+    #[cfg(test)]
+    fn retained_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.nodes.capacity() * size_of::<Node>()
+            + self.ready.capacity() * size_of::<(Key, Event)>()
+            + self.heads.capacity() * size_of::<u32>()
+            + self.occ.capacity() * size_of::<u64>()
+    }
+}
+
+/// Hierarchical wheel over blocks (ring spans): level `l` slot `j` lists
+/// entries whose block agrees with `cursor` on every 6-bit group above
+/// `l` and has group `l` equal to `j`; level 0 also holds the cursor's
+/// own block.
+struct FarLane {
+    /// Block the lane has advanced to; every entry's block is `>=` it.
+    cursor: u64,
+    heads: [[u32; FAR_SLOTS]; FAR_LEVELS],
+    /// Per-level slot-occupancy bitmaps.
+    occ: [u64; FAR_LEVELS],
+    len: usize,
+    /// Lower bound on every entry's block; `u64::MAX` when empty.
+    floor: u64,
+}
+
+impl Default for FarLane {
+    fn default() -> Self {
+        FarLane {
+            cursor: 0,
+            heads: [[NIL; FAR_SLOTS]; FAR_LEVELS],
+            occ: [0; FAR_LEVELS],
+            len: 0,
+            floor: u64::MAX,
         }
     }
 }
 
-/// Highest tick span the wheel covers: diffs with bits at or above this
-/// position overflow.
-const GRAN_DIFF_LIMIT: u32 = SLOT_BITS * LEVELS as u32;
+impl FarLane {
+    /// Links node `n`, due in `block`, into its slot.
+    fn link(&mut self, nodes: &mut [Node], n: u32, block: u64) {
+        self.relink(nodes, n, block);
+        self.len += 1;
+        self.floor = self.floor.min(block);
+    }
 
-/// Level of a nonzero tick diff: the highest 6-bit group containing a
-/// set bit.
-#[inline]
-fn level_of(diff: u64) -> usize {
-    debug_assert!(diff != 0 && diff >> GRAN_DIFF_LIMIT == 0);
-    (63 - diff.leading_zeros()) as usize / SLOT_BITS as usize
+    fn relink(&mut self, nodes: &mut [Node], n: u32, block: u64) {
+        debug_assert!(block >= self.cursor, "far entry behind the lane");
+        let diff = block ^ self.cursor;
+        // The highest 6-bit group in which the block differs (0 if none).
+        let l = (63 - (diff | 1).leading_zeros()) as usize / FAR_SLOT_BITS as usize;
+        let j = ((block >> (FAR_SLOT_BITS * l as u32)) & FAR_MASK) as usize;
+        nodes[n as usize].next = if self.occ[l] & (1 << j) != 0 {
+            self.heads[l][j]
+        } else {
+            self.occ[l] |= 1 << j;
+            NIL
+        };
+        self.heads[l][j] = n;
+    }
+
+    /// Unlinks the earliest block's entries if that block is `<= limit`,
+    /// returning it with its list head; otherwise raises `floor` past
+    /// `limit` and returns `None`.
+    ///
+    /// Every level-`l` entry precedes every level-`l+1` entry, so the
+    /// earliest slot is the first occupied one (from the cursor's index)
+    /// of the lowest occupied level. A level-0 slot is exactly one
+    /// block; a higher slot cascades one level down per step.
+    fn take_min(&mut self, nodes: &mut [Node], limit: u64) -> Option<(u64, u32)> {
+        loop {
+            if self.len == 0 {
+                self.floor = u64::MAX;
+                return None;
+            }
+            let (l, j) = (0..FAR_LEVELS)
+                .find_map(|l| {
+                    let idx = (self.cursor >> (FAR_SLOT_BITS * l as u32)) & FAR_MASK;
+                    let masked = self.occ[l] & (u64::MAX << idx);
+                    (masked != 0).then(|| (l, masked.trailing_zeros() as usize))
+                })
+                .expect("far lane lost entries");
+            let shift = FAR_SLOT_BITS * l as u32;
+            // Start of the slot: groups above `l` keep the cursor's
+            // values, groups below `l` reset to zero.
+            let start = (self.cursor & !((FAR_SLOTS as u64) << shift).wrapping_sub(1))
+                + ((j as u64) << shift);
+            debug_assert!(start >= self.cursor);
+            if start > limit {
+                self.floor = start;
+                return None;
+            }
+            self.cursor = start;
+            self.occ[l] &= !(1 << j);
+            let mut n = self.heads[l][j];
+            if l == 0 {
+                self.floor = start + 1;
+                return Some((start, n));
+            }
+            while n != NIL {
+                let next = nodes[n as usize].next;
+                let block = nodes[n as usize].key.0 >> BLOCK_BITS;
+                self.relink(nodes, n, block);
+                n = next;
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::{MS, SEC, US};
+    use crate::time::{MS, NS, SEC, US};
 
     fn ev(host: u32) -> Event {
         Event::HostTxFree { host }
@@ -272,19 +440,21 @@ mod tests {
     }
 
     #[test]
-    fn pops_in_key_order_across_levels() {
+    fn pops_in_key_order_across_lanes() {
         let mut w = TimerWheel::default();
-        // Same-slot, cross-slot, cross-epoch, deep-level and overflow
-        // distances all at once.
+        // Same-bucket, in-ring, just-past-horizon, every far level and
+        // the largest representable time, all at once.
         let times = [
             3 * US,
             17 * US,
+            34 * US,
             MS,
             5 * MS,
             80 * MS,
             2 * SEC,
             60 * SEC,
-            300 * SEC, // beyond the 281 s span: overflow lane
+            300 * SEC,
+            Ps::MAX,
         ];
         for (i, &t) in times.iter().enumerate() {
             w.arm((t, i as u64), ev(i as u32));
@@ -315,13 +485,28 @@ mod tests {
     fn arm_behind_cursor_joins_ready_in_order() {
         let mut w = TimerWheel::default();
         w.arm((50 * MS, 0), ev(0));
-        // Peeking advances the cursor to the 50 ms slot.
+        // Peeking migrates the 50 ms block and drains its bucket.
         assert_eq!(w.peek(), Some((50 * MS, 0)));
         // A later arm at an earlier time must still pop first.
         w.arm((10 * MS, 1), ev(1));
         w.arm((50 * MS - 1, 2), ev(2));
         let keys = drain(&mut w);
         assert_eq!(keys, vec![(10 * MS, 1), (50 * MS - 1, 2), (50 * MS, 0)]);
+    }
+
+    #[test]
+    fn far_block_migrates_ahead_of_later_ring_entries() {
+        // A timer armed far out must pop before packet events armed once
+        // the cursor has moved close to it, even when both share a block.
+        let mut w = TimerWheel::default();
+        let timer = 5 * MS + 7;
+        w.arm((timer, 0), ev(0));
+        w.arm((5 * MS - 20 * US, 1), ev(1));
+        assert_eq!(w.pop().map(|(k, _)| k), Some((5 * MS - 20 * US, 1)));
+        w.arm((timer + 3 * NS, 2), ev(2));
+        w.arm((timer - 1, 3), ev(3));
+        let keys = drain(&mut w);
+        assert_eq!(keys, vec![(timer - 1, 3), (timer, 0), (timer + 3 * NS, 2)]);
     }
 
     #[test]
@@ -338,9 +523,11 @@ mod tests {
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
-            // Arm 0–2 timers relative to the current virtual time.
+            // Arm 0–2 timers relative to the current virtual time, at
+            // ring and far-lane scales alike.
             for _ in 0..(x % 3) {
-                let delay = (x >> 8) % (3 * SEC);
+                let scale = [40 * US, 3 * SEC][(x >> 3) as usize & 1];
+                let delay = (x >> 8) % scale;
                 let key = (now + delay, seq);
                 w.arm(key, ev(0));
                 pending.push(key);
@@ -370,5 +557,66 @@ mod tests {
         assert_eq!(w.len(), 2);
         drain(&mut w);
         assert!(w.is_empty());
+    }
+
+    #[test]
+    fn empty_queue_allocates_nothing() {
+        let mut w = TimerWheel::default();
+        assert_eq!(w.retained_bytes(), 0);
+        // Far-lane arms use the slab only; the ring's tables wait for
+        // the first entry that lands in it.
+        w.arm((MS, 0), ev(0));
+        assert!(w.heads.is_empty());
+        assert_eq!(w.pop().map(|(k, _)| k), Some((MS, 0)));
+        assert_eq!(w.heads.len(), RING);
+    }
+
+    /// The fat-tree's recorded push mix at 100 G, one draw per call: a
+    /// quarter ACK serializations (3.2 ns), a quarter data
+    /// serializations (120 ns), half link arrivals (a serialization
+    /// plus 10 µs), and one in 2 000 a 5 ms retransmission timer.
+    fn packet_delay(x: &mut u64) -> Ps {
+        *x ^= *x << 13;
+        *x ^= *x >> 7;
+        *x ^= *x << 17;
+        if *x % 2_000 == 0 {
+            return 5 * MS;
+        }
+        let ser = [3_200, 120 * NS][(*x >> 1) as usize & 1];
+        ser + [0, 10 * US][(*x >> 2) as usize & 1] + (*x >> 8) % NS
+    }
+
+    #[test]
+    fn storage_stays_proportional_to_peak_pending() {
+        // Hold ~40 k pending events (the fat-tree's mean) through 1 M
+        // pop/push pairs of the packet mix. Per-slot buffers that keep
+        // their high-water capacity retain ~16× the live entries here.
+        const PENDING: usize = 40_000;
+        let mut w = TimerWheel::default();
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut seq = 0u64;
+        let mut arm = |w: &mut TimerWheel, now: Ps, x: &mut u64| {
+            w.arm((now + packet_delay(x), seq), ev(seq as u32));
+            seq += 1;
+        };
+        for _ in 0..PENDING {
+            let now = (x >> 20) % (10 * US);
+            arm(&mut w, now, &mut x);
+        }
+        let mut peak = w.len();
+        let mut last = (0, 0);
+        for _ in 0..1_000_000 {
+            let (k, _) = w.pop().expect("the hold model keeps the queue full");
+            assert!(k > last, "popped {k:?} after {last:?}");
+            last = k;
+            arm(&mut w, k.0, &mut x);
+            peak = peak.max(w.len());
+        }
+        let live = peak * std::mem::size_of::<(Key, Event)>();
+        let retained = w.retained_bytes();
+        assert!(
+            retained <= 3 * live,
+            "queue retains {retained} B for at most {live} B of live entries"
+        );
     }
 }
