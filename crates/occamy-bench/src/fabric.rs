@@ -401,6 +401,18 @@ mod tests {
     }
 
     #[test]
+    fn delegated_leaf_spine_ideal_rtt_follows_link_propagation() {
+        // Shared-memory schemes normalise against the delegated
+        // LeafSpineScenario's model, crosspoint against the fabric's;
+        // the two must agree at any propagation delay.
+        let mut f = FabricScenario::paper_scaled(paper_topo(), BmKind::Dt, 1.0);
+        f.link_prop_ps = 5 * US;
+        let ls = f.as_leaf_spine().unwrap();
+        assert_eq!(ls.ideal().base_rtt_ps, f.ideal().base_rtt_ps);
+        assert_eq!(f.ideal().base_rtt_ps, 40 * US);
+    }
+
+    #[test]
     fn oversubscription_divides_fabric_rate() {
         let mut f = FabricScenario::paper_scaled(FabricTopo::FatTree { k: 4 }, BmKind::Dt, 1.0);
         f.oversubscription = 4.0;

@@ -3,7 +3,7 @@
 //!
 //! [`fleet`] spawns one `occamy-bench shard run <plan> --resume` worker
 //! *process* per shard (at most `--workers` concurrently), watching
-//! each through its exit status and its `<plan>.heartbeat.json`:
+//! each through its exit status and its `<plan>.cells.jsonl` journal:
 //!
 //! - a worker that **exits nonzero or disappears** (OOM-killed,
 //!   SIGKILLed, machine hiccup) is re-dispatched with capped
@@ -11,14 +11,14 @@
 //!   finished cell is already in the shard's `<plan>.cells.jsonl`
 //!   journal, the retried worker recomputes **only the cells the dead
 //!   one never journaled**;
-//! - a worker whose heartbeat **stops advancing** for `--timeout-s`
+//! - a worker whose journal **stops growing** for `--timeout-s`
 //!   seconds is declared hung, killed and re-dispatched the same way;
 //! - a shard that exhausts its retries **degrades gracefully**: the
 //!   fleet finishes every other shard, then reports the exact grid
 //!   cells still owed (by index and grid label) and exits nonzero —
 //!   no partial merge, no panic, no silent loss.
 //!
-//! When every shard completes, the partials are merged through the
+//! When every shard completes, the journals are merged through the
 //! ordinary [`crate::shard::merge`] path, so the fleet's output is
 //! byte-identical to a direct `--freeze-perf` run even when workers
 //! were killed and resumed mid-shard (CI-enforced by the
@@ -60,8 +60,8 @@ pub struct FleetOptions {
     pub workers: usize,
     /// Re-dispatches allowed per shard after its first failure.
     pub retries: u32,
-    /// Liveness timeout: a worker whose heartbeat `cells_done` does not
-    /// advance for this long is killed and retried. Zero disables.
+    /// Liveness timeout: a worker whose journal gains no cell for this
+    /// long is killed and retried. Zero disables.
     pub timeout: Duration,
     /// Pass `--serial` to workers (one cell at a time per worker).
     pub serial_workers: bool,
@@ -90,7 +90,7 @@ enum ShardState {
     /// A worker process is executing the shard.
     Running {
         child: Child,
-        /// Heartbeat progress when last observed, for hang detection.
+        /// Journaled cells when last observed, for hang detection.
         last_cells: usize,
         last_progress: Instant,
     },
@@ -116,23 +116,18 @@ impl ShardSlot {
     }
 }
 
-/// `cells_done` from a plan's heartbeat file (0 when absent). A free
-/// function on the path, so the supervision loop can read it while
-/// holding a mutable borrow of the slot's state.
-fn heartbeat_cells(plan_path: &Path) -> usize {
-    let hb = shard::heartbeat_path(plan_path);
-    let Ok(text) = std::fs::read_to_string(&hb) else {
-        return 0;
-    };
-    let Ok(doc) = Json::parse(&text) else {
-        return 0;
-    };
-    doc.get("cells_done").and_then(Json::as_u64).unwrap_or(0) as usize
+/// Whether a file name has a plan's form, `<scenario>.shard-<digits>.json`.
+fn is_plan_name(name: &str) -> bool {
+    name.strip_suffix(".json")
+        .and_then(|stem| stem.rsplit_once(".shard-"))
+        .is_some_and(|(scenario, id)| {
+            !scenario.is_empty() && !id.is_empty() && id.bytes().all(|b| b.is_ascii_digit())
+        })
 }
 
-/// Collects the plan files of a plan directory: every
-/// `*.shard-<i>.json` that is not a result, heartbeat or journal
-/// artifact.
+/// Collects the plan files of a plan directory: every file named
+/// `<scenario>.shard-<digits>.json`. Journals, logs, the status file
+/// and leftovers of older runs never match that form.
 pub fn plans_in_dir(dir: &Path) -> Result<Vec<PathBuf>, String> {
     let entries =
         std::fs::read_dir(dir).map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
@@ -142,11 +137,7 @@ pub fn plans_in_dir(dir: &Path) -> Result<Vec<PathBuf>, String> {
         let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
             continue;
         };
-        if name.contains(".shard-")
-            && name.ends_with(".json")
-            && !name.ends_with(".result.json")
-            && !name.ends_with(".heartbeat.json")
-        {
+        if is_plan_name(name) {
             plans.push(path);
         }
     }
@@ -259,9 +250,9 @@ fn worker_log_path(plan_path: &Path) -> PathBuf {
 }
 
 /// Writes (overwrites) `fleet.status.json` in the plan directory —
-/// operational metadata like the shard heartbeats: real timestamps
-/// even under `--freeze-perf`, failures ignored (status must never
-/// fail a fleet).
+/// operational metadata, not a result artifact: real timestamps even
+/// under `--freeze-perf`, failures ignored (status must never fail a
+/// fleet). `cells_done` counts each shard's journaled cells.
 fn write_status(dir: &Path, scenario: &str, workers: usize, slots: &[ShardSlot]) {
     let now_ms = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
@@ -293,7 +284,10 @@ fn write_status(dir: &Path, scenario: &str, workers: usize, slots: &[ShardSlot])
                     ("shard", Json::from(s.plan.shard)),
                     ("state", Json::from(s.state_str())),
                     ("attempts", Json::from(s.attempts as u64)),
-                    ("cells_done", Json::from(heartbeat_cells(&s.plan.path))),
+                    (
+                        "cells_done",
+                        Json::from(shard::journaled_cells(&s.plan.path)),
+                    ),
                     ("cells_planned", Json::from(s.plan.cells)),
                 ])
             })),
@@ -305,7 +299,7 @@ fn write_status(dir: &Path, scenario: &str, workers: usize, slots: &[ShardSlot])
 
 /// Runs a whole plan set to completion under supervision (see the
 /// module docs for the retry / hang / degraded-mode contract), then
-/// merges the partials into `opts.out_root`. Returns the merged
+/// merges the journals into `opts.out_root`. Returns the merged
 /// `BENCH_<name>.json` path, or — after any shard exhausts its
 /// retries — an error naming every unfinished cell by grid label.
 pub fn fleet(plans: &[PathBuf], opts: &FleetOptions) -> Result<PathBuf, String> {
@@ -373,7 +367,7 @@ pub fn fleet(plans: &[PathBuf], opts: &FleetOptions) -> Result<PathBuf, String> 
                     fail_attempt(slot, &format!("exited with {status}"), opts.retries, base);
                 }
                 Ok(None) => {
-                    let cells = heartbeat_cells(&slot.plan.path);
+                    let cells = shard::journaled_cells(&slot.plan.path);
                     if cells > *last_cells {
                         *last_cells = cells;
                         *last_progress = Instant::now();
@@ -381,7 +375,7 @@ pub fn fleet(plans: &[PathBuf], opts: &FleetOptions) -> Result<PathBuf, String> 
                         let _ = child.kill();
                         let _ = child.wait();
                         let msg = format!(
-                            "hung: no heartbeat progress past {cells} cells for {}s",
+                            "hung: no journal progress past {cells} cells for {}s",
                             opts.timeout.as_secs()
                         );
                         fail_attempt(slot, &msg, opts.retries, base);
@@ -417,7 +411,7 @@ pub fn fleet(plans: &[PathBuf], opts: &FleetOptions) -> Result<PathBuf, String> 
                     );
                     slot.state = ShardState::Running {
                         child,
-                        last_cells: heartbeat_cells(&slot.plan.path),
+                        last_cells: shard::journaled_cells(&slot.plan.path),
                         last_progress: Instant::now(),
                     };
                     running += 1;
@@ -446,9 +440,9 @@ pub fn fleet(plans: &[PathBuf], opts: &FleetOptions) -> Result<PathBuf, String> 
         .filter(|s| matches!(s.state, ShardState::Failed))
         .collect();
     if !failed.is_empty() {
-        // Degraded mode: every other shard finished (its journal and
-        // partial are on disk and reusable); report exactly what the
-        // failed shards still owe, by grid label.
+        // Degraded mode: every other shard finished (its journal is on
+        // disk and reusable); report exactly what the failed shards
+        // still owe, by grid label.
         let mut owed = Vec::new();
         for slot in &failed {
             let cells = shard::unfinished_cells(&slot.plan.path)
@@ -470,11 +464,11 @@ pub fn fleet(plans: &[PathBuf], opts: &FleetOptions) -> Result<PathBuf, String> 
         ));
     }
 
-    let partials: Vec<PathBuf> = slots
+    let journals: Vec<PathBuf> = slots
         .iter()
-        .map(|s| shard::default_partial_path(&s.plan.path))
+        .map(|s| shard::journal_path(&s.plan.path))
         .collect();
-    let merged = shard::merge(&partials, &opts.out_root)?;
+    let merged = shard::merge(&journals, &opts.out_root)?;
     println!(
         "fleet: {} shards done ({retries_total} retr{}), merged -> {}",
         slots.len(),
@@ -524,11 +518,19 @@ mod tests {
         let dir = scratch("discover");
         let source = ShardSource::from_name("fig12").unwrap();
         let plans = shard::plan(&source, Scale::Smoke, 2, &dir).unwrap();
-        // Artifacts that must not be mistaken for plans.
-        std::fs::write(dir.join("fig12.shard-0.result.json"), "{}").unwrap();
-        std::fs::write(dir.join("fig12.shard-0.heartbeat.json"), "{}").unwrap();
-        std::fs::write(dir.join("fig12.shard-0.cells.jsonl"), "{}\n").unwrap();
-        std::fs::write(dir.join("fig12.shard-0.log"), "x").unwrap();
+        // Artifacts that must not be mistaken for plans, including the
+        // partial-result and heartbeat files older binaries wrote.
+        for name in [
+            "fig12.shard-0.result.json",
+            "fig12.shard-0.heartbeat.json",
+            "fig12.shard-0.cells.jsonl",
+            "fig12.shard-0.log",
+            "fleet.status.json",
+            "fig12.shard-x.json",
+            ".shard-0.json",
+        ] {
+            std::fs::write(dir.join(name), "{}").unwrap();
+        }
         let found = plans_in_dir(&dir).unwrap();
         assert_eq!(found, {
             let mut p = plans.clone();
@@ -565,6 +567,9 @@ mod tests {
         let dir = scratch("status");
         let source = ShardSource::from_name("fig12").unwrap();
         let plans = shard::plan(&source, Scale::Smoke, 2, &dir).unwrap();
+        // Shard 0 has journaled two cells (header + 2 lines); shard 1
+        // has no journal yet.
+        std::fs::write(shard::journal_path(&plans[0]), "{}\n{}\n{}\n").unwrap();
         let infos = load_plan_set(&plans).unwrap();
         let now = Instant::now();
         let slots: Vec<ShardSlot> = infos
@@ -581,10 +586,14 @@ mod tests {
         assert_eq!(doc.get("kind").and_then(Json::as_str), Some("fleet"));
         assert_eq!(doc.get("pending").and_then(Json::as_u64), Some(2));
         assert_eq!(doc.get("done").and_then(Json::as_u64), Some(0));
-        assert_eq!(
-            doc.get("shards").and_then(Json::as_arr).map(|a| a.len()),
-            Some(2)
-        );
+        let cells_done: Vec<Option<u64>> = doc
+            .get("shards")
+            .and_then(Json::as_arr)
+            .unwrap()
+            .iter()
+            .map(|s| s.get("cells_done").and_then(Json::as_u64))
+            .collect();
+        assert_eq!(cells_done, [Some(2), Some(0)]);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

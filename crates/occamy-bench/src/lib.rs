@@ -26,15 +26,15 @@
 //!   (`occamy-bench run --spec file.toml`) into registry-compatible
 //!   scenarios over `FabricScenario`;
 //! - [`shard`] — splits a grid into self-contained shard plan files,
-//!   executes them independently (possibly on different machines) and
-//!   merges the partial results into the byte-identical report a direct
-//!   run produces (`occamy-bench shard plan|run|merge`); `shard run
-//!   --resume` journals each finished cell so a killed shard restarts
-//!   from where it stopped;
+//!   executes them independently (possibly on different machines),
+//!   journaling each finished cell, and merges the journals into the
+//!   byte-identical report a direct run produces (`occamy-bench shard
+//!   plan|run|merge`); `shard run --resume` restarts a killed shard
+//!   from where its journal stopped;
 //! - [`fleet`] — the supervising coordinator (`occamy-bench fleet`):
-//!   spawns one `shard run --resume` worker process per shard, monitors
-//!   heartbeats, retries dead or hung workers with capped exponential
-//!   backoff and merges the survivors;
+//!   spawns one `shard run --resume` worker process per shard, watches
+//!   each journal grow, retries dead or hung workers with capped
+//!   exponential backoff and merges the survivors;
 //! - [`retry`] — the shared capped-backoff retry helper behind both.
 //!
 //! # CLI

@@ -5,8 +5,8 @@
 //! occamy-bench run <name...> [--spec FILE...] [--quick|--smoke] [--serial] [--threads N]
 //! occamy-bench all [--quick|--smoke] [--serial] [--threads N]
 //! occamy-bench shard plan <name> | --spec FILE  --shards N [--quick|--smoke] [--out-dir DIR]
-//! occamy-bench shard run <plan.json> [--serial] [--out FILE] [--resume]
-//! occamy-bench shard merge <partial.json | journal.cells.jsonl ...> [--out-dir DIR]
+//! occamy-bench shard run <plan.json> [--serial] [--resume]
+//! occamy-bench shard merge <journal.cells.jsonl ...> [--out-dir DIR]
 //! occamy-bench fleet <plan-dir> | <name> | --spec FILE [--workers N] [--retries N] [--timeout-s S]
 //! occamy-bench watch <dir>
 //! ```
@@ -20,7 +20,7 @@
 //!
 //! The `shard` subcommands split one scenario's grid into self-contained
 //! plan files, execute them independently (any machine with this binary)
-//! and merge the partial results into the byte-identical report a direct
+//! and merge their journals into the byte-identical report a direct
 //! run produces — see `occamy_bench::shard`. `fleet` supervises a whole
 //! plan set on this machine: one worker process per shard, crash/hang
 //! detection, resume-from-journal retries and a final merge — see
@@ -47,13 +47,12 @@ commands:
   shard plan <name>    split a scenario's grid into N self-contained
                        shard files (shards/<name>.shard-<i>.json);
                        use --spec FILE instead of a name for spec runs
-  shard run <file>     execute one shard plan, writing the partial
-                       result next to it (<plan>.result.json) and
-                       journaling each finished cell to
-                       <plan>.cells.jsonl; with --resume, skip the
-                       cells an interrupted run already journaled
-  shard merge <f...>   merge partial results (or .cells.jsonl journals)
-                       into the byte-identical BENCH_<name>.json +
+  shard run <file>     execute one shard plan, journaling each
+                       finished cell to <plan>.cells.jsonl next to it;
+                       with --resume, skip the cells an interrupted
+                       run already journaled
+  shard merge <f...>   merge the shards' .cells.jsonl journals into
+                       the byte-identical BENCH_<name>.json +
                        results/*.csv of a direct run
   fleet <dir|name>     run a whole plan set under supervision: one
                        `shard run --resume` worker process per shard,
@@ -87,11 +86,10 @@ options:
                        (default: min(shards, cores))
   --retries N          `fleet`: re-dispatches per shard after a crash
                        or hang (default 2)
-  --timeout-s S        `fleet`: kill and retry a worker whose heartbeat
-                       makes no progress for S seconds (default: off)
+  --timeout-s S        `fleet`: kill and retry a worker whose journal
+                       gains no cell for S seconds (default: off)
   --out-dir DIR        output directory (`shard plan`: default shards/;
                        `shard merge` / `fleet`: default .)
-  --out FILE           partial-result path for `shard run`
   --freeze-perf        zero all wall-clock perf fields so reports are
                        byte-reproducible (also: OCCAMY_FREEZE_PERF=1)
   --telemetry          stream live run telemetry to
@@ -112,7 +110,6 @@ struct Args {
     parallel: bool,
     shards: Option<usize>,
     out_dir: Option<String>,
-    out: Option<String>,
     resume: bool,
     workers: usize,
     retries: u32,
@@ -127,7 +124,6 @@ fn parse_args() -> Result<Args, String> {
     let mut parallel = true;
     let mut shards = None;
     let mut out_dir = None;
-    let mut out = None;
     let mut resume = false;
     let mut workers = 0usize;
     let mut retries = 2u32;
@@ -158,9 +154,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--out-dir" => {
                 out_dir = Some(args.next().ok_or("--out-dir needs a directory path")?);
-            }
-            "--out" => {
-                out = Some(args.next().ok_or("--out needs a file path")?);
             }
             "--resume" => resume = true,
             "--workers" => {
@@ -213,7 +206,6 @@ fn parse_args() -> Result<Args, String> {
         parallel,
         shards,
         out_dir,
-        out,
         resume,
         workers,
         retries,
@@ -305,7 +297,7 @@ fn shard_command(args: &Args) -> Result<(), String> {
             }
             println!(
                 "\nexecute each with: occamy-bench shard run <file>\n\
-                 then merge with:   occamy-bench shard merge {}/{}.shard-*.result.json",
+                 then merge with:   occamy-bench shard merge {}/{}.shard-*.cells.jsonl",
                 out_dir,
                 source.scenario().name()
             );
@@ -315,11 +307,10 @@ fn shard_command(args: &Args) -> Result<(), String> {
             let [file] = rest else {
                 return Err("`shard run` takes exactly one plan file".to_string());
             };
-            let out = args.out.as_ref().map(Path::new);
             let sink = occamy_bench::telemetry_enabled().then(|| {
                 occamy_bench::live::TelemetrySink::start(Path::new("."), occamy_bench::live_mode())
             });
-            let result = shard::run_shard(Path::new(file), args.parallel, out, args.resume);
+            let result = shard::run_shard(Path::new(file), args.parallel, args.resume);
             if let Some(sink) = sink {
                 sink.finish();
             }
@@ -329,12 +320,12 @@ fn shard_command(args: &Args) -> Result<(), String> {
         }
         "merge" => {
             if rest.is_empty() {
-                return Err("`shard merge` needs at least one partial-result file".to_string());
+                return Err("`shard merge` needs at least one journal file".to_string());
             }
-            let partials: Vec<PathBuf> = rest.iter().map(PathBuf::from).collect();
+            let journals: Vec<PathBuf> = rest.iter().map(PathBuf::from).collect();
             let out_root = args.out_dir.clone().unwrap_or_else(|| ".".to_string());
-            let path = shard::merge(&partials, Path::new(&out_root))?;
-            println!("merged {} partials -> {}", partials.len(), path.display());
+            let path = shard::merge(&journals, Path::new(&out_root))?;
+            println!("merged {} journals -> {}", journals.len(), path.display());
             Ok(())
         }
         other => Err(format!(

@@ -1,6 +1,6 @@
 //! Capped-exponential-backoff retry, shared by every writer whose
-//! failure would throw away simulated work: `shard run`'s partial and
-//! journal writes retry transient I/O errors in-process, and the fleet
+//! failure would throw away simulated work: `shard run`'s journal
+//! appends retry transient I/O errors in-process, and the fleet
 //! coordinator ([`crate::fleet`]) schedules worker re-dispatch with the
 //! same delay curve.
 

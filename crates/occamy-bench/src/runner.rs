@@ -20,6 +20,7 @@ use occamy_sim::telemetry::{self, CellInfo, SnapshotKind};
 use occamy_stats::{Json, Table};
 use rayon::prelude::*;
 use std::path::PathBuf;
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Peak resident-set size of this process in bytes (`VmHWM` from
@@ -282,43 +283,46 @@ pub fn execute(
 }
 
 /// Executes one scenario's `cells` (any subset of its grid, in any
-/// order) and returns their outcomes in input order — the execution
-/// half shared by `run` (via [`execute`]'s job list) and `shard run`,
-/// which feeds a planned subset instead of the whole grid.
+/// order), handing each finished cell's outcome to `on_cell_done` — the
+/// execution half shared by `run` (via [`execute`]'s job list) and
+/// `shard run`, which feeds a planned subset instead of the whole grid
+/// and journals each outcome, so a killed shard is resumable and its
+/// progress visible from the outside.
+///
+/// `on_cell_done` may be invoked from worker threads, hence `Sync`. The
+/// first error it returns stops the run: no further cell starts, and
+/// that error is returned once the cells already running finish.
+///
+/// Perf fields are frozen *before* the callback fires (not only in the
+/// final batch pass), so anything the callback persists — the journal
+/// in particular — carries the same zeroed `wall`/`rss` a frozen direct
+/// run records, keeping merged shards byte-identical.
 pub fn run_cells(
     scenario: &'static dyn Scenario,
     cells: &[CellSpec],
     parallel: bool,
-) -> Vec<CellOutcome> {
-    run_cells_with(scenario, cells, parallel, &|_| {})
-}
-
-/// [`run_cells`] with a completion callback, invoked (possibly from
-/// worker threads — it must be `Sync`) right after each cell finishes,
-/// with the cell's full outcome. `shard run` uses it to keep its
-/// heartbeat file current and to journal the outcome, so a stalled or
-/// killed shard is detectable — and resumable — from the outside.
-///
-/// Perf fields are frozen *before* the callback fires (not only in the
-/// final batch pass), so anything the callback persists — the resume
-/// journal in particular — carries the same zeroed `wall`/`rss` a
-/// frozen direct run records, keeping resumed merges byte-identical.
-pub fn run_cells_with(
-    scenario: &'static dyn Scenario,
-    cells: &[CellSpec],
-    parallel: bool,
-    on_cell_done: &(dyn Fn(&CellOutcome) + Sync),
-) -> Vec<CellOutcome> {
-    let run_one = |spec: &CellSpec| -> CellOutcome {
+    on_cell_done: &(dyn Fn(&CellOutcome) -> Result<(), String> + Sync),
+) -> Result<(), String> {
+    const POISONED: &str = "a cell worker panicked while recording a failure";
+    let failure: Mutex<Option<String>> = Mutex::new(None);
+    let run_one = |spec: &CellSpec| {
+        if failure.lock().expect(POISONED).is_some() {
+            return;
+        }
         let mut outcome = run_cell(scenario, spec, cells.len());
         freeze_walls(std::slice::from_mut(&mut outcome));
-        on_cell_done(&outcome);
-        outcome
+        if let Err(e) = on_cell_done(&outcome) {
+            failure.lock().expect(POISONED).get_or_insert(e);
+        }
     };
     if parallel {
-        cells.par_iter().map(run_one).collect()
+        let _: Vec<()> = cells.par_iter().map(run_one).collect();
     } else {
-        cells.iter().map(run_one).collect()
+        cells.iter().for_each(run_one);
+    }
+    match failure.into_inner().expect(POISONED) {
+        Some(e) => Err(e),
+        None => Ok(()),
     }
 }
 
@@ -341,7 +345,7 @@ pub fn assemble(scenario: &'static dyn Scenario, mut outcomes: Vec<CellOutcome>)
 /// every downstream artifact — `BENCH_<name>.json`, `results/*_perf.csv`
 /// — is byte-reproducible and a merged distributed run can be `cmp`-ed
 /// against a direct run.
-fn freeze_walls(outcomes: &mut [CellOutcome]) {
+pub(crate) fn freeze_walls(outcomes: &mut [CellOutcome]) {
     if crate::freeze_perf() {
         for o in outcomes {
             o.wall = Duration::ZERO;

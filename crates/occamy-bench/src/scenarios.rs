@@ -322,10 +322,12 @@ impl LeafSpineScenario {
         self.leaves * self.hosts_per_leaf
     }
 
-    /// Ideal-FCT model (80 µs base RTT, access-link bottleneck).
+    /// Ideal-FCT model: base RTT = 2 × the 4-link host-leaf-spine-leaf-
+    /// host path × per-link propagation (80 µs at the figures' 10 µs
+    /// links), access-link bottleneck.
     pub fn ideal(&self) -> IdealFct {
         IdealFct {
-            base_rtt_ps: 80 * US,
+            base_rtt_ps: 2 * 4 * self.link_prop_ps,
             bottleneck_bps: self.link_rate_bps,
             mss: self.sim.mss as u64,
         }

@@ -5,7 +5,7 @@
 //! (`specs/paper_fabric_128h.toml`) are far too slow for one machine,
 //! but grid cells are independent, `Send`-safe and seed-deterministic —
 //! so a grid can be split into shards, each shard executed anywhere,
-//! and the partial results reassembled into the **exact** report a
+//! and the shards' results reassembled into the **exact** report a
 //! single-machine run would have produced:
 //!
 //! 1. [`plan`] splits a scenario's grid into `N` shard files
@@ -17,20 +17,17 @@
 //!    but the plan file and the binary.
 //! 2. [`run_shard`] executes one plan file with the same parallel
 //!    runner a direct `run` uses ([`crate::runner::run_cells`]) and
-//!    writes a partial-result file (`….result.json`). Along the way it
-//!    journals every finished cell to an append-only per-shard journal
-//!    (`….cells.jsonl`, rewritten via temp-file + rename so a kill at
-//!    any instant never leaves a torn line); with `--resume` a
-//!    restarted run validates the journal and recomputes only the
-//!    cells not yet journaled.
-//! 3. [`merge`] validates and reunites the partials — every shard
+//!    appends every finished cell to the shard's journal
+//!    (`<plan stem>.cells.jsonl`, rewritten via temp-file + rename so a
+//!    kill at any instant never leaves a torn line). The journal is the
+//!    shard's one result artifact; with `--resume` a restarted run
+//!    validates it and recomputes only the cells not yet journaled.
+//! 3. [`merge`] validates and reunites the journals — every shard
 //!    present exactly once, every grid cell covered exactly once, no
 //!    version or header drift — and feeds them through the same
 //!    assembly path as a direct run ([`crate::runner::assemble`] +
 //!    [`render_into`]), emitting the byte-identical `BENCH_<name>.json`
-//!    and `results/*.csv`. Journals are accepted in place of
-//!    monolithic partials: `shard merge shards/*.cells.jsonl` applies
-//!    the same exactly-once coverage validation to them.
+//!    and `results/*.csv`.
 //!
 //! Byte-identity is enforced by `tests/shard_equivalence.rs` and the CI
 //! `shard-equivalence` job, which `cmp` a merged 3-shard fig12 run
@@ -38,11 +35,10 @@
 //! platform-dependent output; both sides run under
 //! [`crate::freeze_perf`] (`--freeze-perf`), which zeroes them.
 //!
-//! Every failure mode names the offending shard file: truncated or
-//! tampered JSON, format-version mismatches, header drift between
-//! partials, missing or duplicated shards, and missing or duplicated
-//! grid cells all produce errors, never panics or silently dropped
-//! cells.
+//! Every failure mode names the offending file: truncated or tampered
+//! JSON, format-version mismatches, header drift between journals,
+//! missing or duplicated shards, and missing or duplicated grid cells
+//! all produce errors, never panics or silently dropped cells.
 
 use crate::registry::{find_scenario, registry};
 use crate::retry::retry_with_backoff;
@@ -54,9 +50,9 @@ use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-/// Attempts and backoff for result-artifact writes (partials and
-/// journal appends): a transient I/O failure would throw away simulated
-/// work, so writes retry a few times before giving up.
+/// Attempts and backoff for journal appends: a transient I/O failure
+/// would throw away simulated work, so appends retry a few times before
+/// giving up.
 const WRITE_ATTEMPTS: u32 = 3;
 const WRITE_BACKOFF_BASE: Duration = Duration::from_millis(100);
 const WRITE_BACKOFF_CAP: Duration = Duration::from_secs(2);
@@ -264,7 +260,7 @@ fn decode_outcome(ctx: &str, j: &Json, scale: Scale) -> Result<CellOutcome, Stri
     for s in j.get("series").and_then(Json::as_arr).unwrap_or(&[]) {
         result = result.with_series(decode_series(&ctx, s)?);
     }
-    // Tolerant: partials written before the field existed decode as 0.
+    // Tolerant: files written before the field existed decode as 0.
     let rss = j.get("peak_rss_bytes").and_then(Json::as_u64).unwrap_or(0);
     Ok(CellOutcome {
         spec,
@@ -322,8 +318,7 @@ fn decode_series(ctx: &str, j: &Json) -> Result<Series, String> {
 // File headers
 // -------------------------------------------------------------------
 
-/// The parsed, version-checked header shared by plan, partial and
-/// journal files.
+/// The parsed, version-checked header shared by plan and journal files.
 pub(crate) struct ShardFile {
     pub(crate) path: PathBuf,
     pub(crate) scenario: String,
@@ -371,8 +366,7 @@ fn header_json(
 
 /// Reads and validates a shard file's envelope: parseable JSON (a
 /// truncated upload fails here, naming the file), the supported format
-/// version, the expected kind (`plan` / `partial`) and a complete,
-/// well-typed header.
+/// version, the expected kind and a complete, well-typed header.
 pub(crate) fn read_shard_file(path: &Path, expect_kind: &str) -> Result<ShardFile, String> {
     let ctx = format!("shard file {}", path.display());
     let text = std::fs::read_to_string(path).map_err(|e| format!("{ctx}: {e}"))?;
@@ -554,72 +548,15 @@ pub fn plan(
 }
 
 // -------------------------------------------------------------------
-// run
+// The journal
 // -------------------------------------------------------------------
 
-/// The default partial-result path for a plan file:
-/// `<plan stem>.result.json` next to it.
-pub fn default_partial_path(plan_path: &Path) -> PathBuf {
-    let s = plan_path.to_string_lossy();
-    match s.strip_suffix(".json") {
-        Some(stem) => PathBuf::from(format!("{stem}.result.json")),
-        None => PathBuf::from(format!("{s}.result.json")),
-    }
-}
-
-/// The heartbeat path for a plan file: `<plan stem>.heartbeat.json`
-/// next to it. `shard run` rewrites this small file as each cell
-/// completes; an operator (or `shard merge`, which checks it against
-/// the plan) can tell a stalled shard from a slow one by its mtime and
-/// `cells_done` count.
-pub fn heartbeat_path(plan_path: &Path) -> PathBuf {
-    let s = plan_path.to_string_lossy();
-    match s.strip_suffix(".json") {
-        Some(stem) => PathBuf::from(format!("{stem}.heartbeat.json")),
-        None => PathBuf::from(format!("{s}.heartbeat.json")),
-    }
-}
-
-/// Writes (overwrites) a shard heartbeat. Heartbeats are operational
-/// metadata, not result artifacts — they live next to the plan, never
-/// under `results/`, and carry a real wall-clock timestamp even under
-/// `--freeze-perf`. Failures are ignored: a heartbeat must never fail
-/// a run.
-fn write_heartbeat(
-    path: &Path,
-    file: &ShardFile,
-    planned: usize,
-    done: usize,
-    last_cell: Option<usize>,
-) {
-    let now_ms = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_millis() as u64)
-        .unwrap_or(0);
-    let _ = Json::obj([
-        ("format", Json::from(SHARD_FORMAT)),
-        ("kind", Json::from("heartbeat")),
-        ("scenario", Json::from(file.scenario.as_str())),
-        ("shard", Json::from(file.shard)),
-        ("shards", Json::from(file.shards)),
-        ("cells_planned", Json::from(planned)),
-        ("cells_done", Json::from(done)),
-        ("last_cell", last_cell.map_or(Json::Null, Json::from)),
-        ("last_event_unix_ms", Json::from(now_ms)),
-    ])
-    .write_to(path);
-}
-
-// -------------------------------------------------------------------
-// The resume journal
-// -------------------------------------------------------------------
-
-/// The per-shard resume journal for a plan file:
-/// `<plan stem>.cells.jsonl` next to it. Line 1 is the shard header
-/// (kind `journal`); every further line is one finished cell's encoded
-/// outcome. `shard run` appends as cells complete; `shard run --resume`
-/// replays the journal and recomputes only the cells it lacks; `shard
-/// merge` accepts journals in place of partial-result files.
+/// The per-shard journal for a plan file: `<plan stem>.cells.jsonl`
+/// next to it. Line 1 is the shard header (kind `journal`); every
+/// further line is one finished cell's encoded outcome. `shard run`
+/// appends as cells complete; `shard run --resume` replays the journal
+/// and recomputes only the cells it lacks; `shard merge` reads the
+/// journals of every shard.
 pub fn journal_path(plan_path: &Path) -> PathBuf {
     let s = plan_path.to_string_lossy();
     match s.strip_suffix(".json") {
@@ -628,10 +565,19 @@ pub fn journal_path(plan_path: &Path) -> PathBuf {
     }
 }
 
-fn is_journal_path(path: &Path) -> bool {
-    path.file_name()
-        .and_then(|n| n.to_str())
-        .is_some_and(|n| n.ends_with(".cells.jsonl"))
+/// How many cells a plan's journal holds: its line count minus the
+/// header, 0 while no journal exists. No JSON is parsed, so the fleet
+/// can poll it cheaply, and polling is safe while `shard run` appends,
+/// because every append replaces the file by rename: a reader sees the
+/// old journal or the new one, never a torn line.
+pub fn journaled_cells(plan_path: &Path) -> usize {
+    std::fs::read(journal_path(plan_path)).map_or(0, |bytes| {
+        bytes
+            .iter()
+            .filter(|&&b| b == b'\n')
+            .count()
+            .saturating_sub(1)
+    })
 }
 
 /// Crash-safe append-only journal writer. The full journal text is held
@@ -682,7 +628,7 @@ impl JournalWriter {
     }
 }
 
-/// Reads and validates a resume journal: a version-checked `journal`
+/// Reads and validates a shard journal: a version-checked `journal`
 /// header line, then one well-formed outcome per line, each cell
 /// belonging to the journal's shard and appearing at most once. Returns
 /// the header, the outcomes and the raw text (for reopening in append
@@ -734,9 +680,10 @@ fn read_journal(path: &Path) -> Result<(ShardFile, Vec<CellOutcome>, String), St
     Ok((header, outcomes, text))
 }
 
-/// Checks that two shard headers describe the same shard of the same
-/// plan; `what` and `against` name the files in the error.
-fn check_same_shard(a: &ShardFile, b: &ShardFile) -> Result<(), String> {
+/// Checks that two shard headers come from the same plan set: same
+/// scenario, source, scale, shard count, grid size and embedded spec.
+/// The error names both files.
+fn check_same_plan(a: &ShardFile, b: &ShardFile) -> Result<(), String> {
     for (what, x, y) in [
         ("scenario", a.scenario.as_str(), b.scenario.as_str()),
         ("source", a.source.as_str(), b.source.as_str()),
@@ -749,22 +696,16 @@ fn check_same_shard(a: &ShardFile, b: &ShardFile) -> Result<(), String> {
             ));
         }
     }
-    if a.scale != b.scale
-        || a.shard != b.shard
-        || a.shards != b.shards
-        || a.total_cells != b.total_cells
-    {
+    if a.scale != b.scale || a.shards != b.shards || a.total_cells != b.total_cells {
         return Err(format!(
-            "{}: header (scale {}, shard {} of {}, {} cells) does not match {} \
-             (scale {}, shard {} of {}, {} cells)",
+            "{}: header (scale {}, {} shards, {} cells) does not match {} \
+             (scale {}, {} shards, {} cells)",
             a.ctx(),
             a.scale,
-            a.shard,
             a.shards,
             a.total_cells,
             b.path.display(),
             b.scale,
-            b.shard,
             b.shards,
             b.total_cells
         ));
@@ -804,6 +745,10 @@ fn check_cell_matches(ctx: &str, cell: &CellSpec, reference: &[CellSpec]) -> Res
     Ok(())
 }
 
+// -------------------------------------------------------------------
+// run
+// -------------------------------------------------------------------
+
 /// Deterministic crash hook for the fleet-resilience tests:
 /// `OCCAMY_SHARD_KILL_AFTER="<shard>:<k>"` makes a `shard run` of shard
 /// `<shard>` SIGKILL itself after journaling `<k>` cells — but only
@@ -824,7 +769,7 @@ fn kill_after(shard: usize, journaled_at_start: usize) -> Option<usize> {
 }
 
 /// Dies the way a crashed worker dies: SIGKILL (no destructors, no
-/// partial write, journal left as-is). Falls back to an abrupt exit
+/// half-done write, journal left as-is). Falls back to an abrupt exit
 /// with SIGKILL's conventional status where no `kill` binary exists.
 fn kill_self_for_test() -> ! {
     let pid = std::process::id().to_string();
@@ -834,29 +779,25 @@ fn kill_self_for_test() -> ! {
     std::process::exit(137);
 }
 
-/// Executes one shard plan file with the shared parallel runner and
-/// writes the partial-result file (default: [`default_partial_path`]).
-/// Returns the partial's path.
+/// Executes one shard plan file with the shared parallel runner,
+/// appending every finished cell to the shard's journal
+/// ([`journal_path`]) as it completes. Returns the journal's path.
 ///
-/// Every finished cell is journaled to [`journal_path`] as it
-/// completes. With `resume`, an existing journal is validated (against
-/// the plan header *and* this binary's reference grid) and its cells
-/// are skipped — a shard killed mid-run finishes the rest of its work
-/// on restart and produces the byte-identical partial a single
-/// uninterrupted run writes. Without `resume`, a stale journal is
-/// overwritten and every cell runs.
+/// With `resume`, an existing journal is validated (against the plan
+/// header *and* this binary's reference grid) and its cells are skipped
+/// — a shard killed mid-run finishes the rest of its work on restart,
+/// and merging its journal gives the byte-identical report an
+/// uninterrupted run gives. Without `resume`, a stale journal is
+/// overwritten and every cell runs. The journal is the only copy of a
+/// result, so a cell that cannot be journaled fails the shard at once.
 ///
-/// Before running, every cell is cross-checked against the grid this
-/// binary generates for the same scenario and scale: a seed or
+/// Before running, the plan's cell list is validated: every cell
+/// belongs to this shard, appears once, and matches the grid this
+/// binary generates for the same scenario and scale. A seed or
 /// parameter mismatch means the plan came from a different code version
 /// (or was tampered with), and silently running it would poison the
 /// merged report.
-pub fn run_shard(
-    plan_path: &Path,
-    parallel: bool,
-    out: Option<&Path>,
-    resume: bool,
-) -> Result<PathBuf, String> {
+pub fn run_shard(plan_path: &Path, parallel: bool, resume: bool) -> Result<PathBuf, String> {
     let file = read_shard_file(plan_path, "plan")?;
     let scenario = resolve_scenario(&file)?;
     let ctx = file.ctx();
@@ -878,23 +819,46 @@ pub fn run_shard(
             reference.len()
         ));
     }
+    let mut planned_idx: HashSet<usize> = HashSet::new();
     for cell in &cells {
         check_cell_matches(&ctx, cell, &reference)?;
+        if cell.index % file.shards != file.shard {
+            return Err(format!(
+                "{ctx}: cell {} belongs to shard {}, not shard {} — regenerate the plan",
+                cell.index,
+                cell.index % file.shards,
+                file.shard
+            ));
+        }
+        if !planned_idx.insert(cell.index) {
+            return Err(format!(
+                "{ctx}: cell {} is listed twice — regenerate the plan",
+                cell.index
+            ));
+        }
     }
 
     // Resume: replay a validated journal and run only the cells it
     // lacks. The journal's header must match the plan and every
     // journaled cell must match the reference grid — anything else is
     // a stale or foreign journal and fails loudly rather than welding
-    // wrong results into the partial.
+    // wrong results into the merged report.
     let jpath = journal_path(plan_path);
-    let mut journaled: Vec<CellOutcome> = Vec::new();
-    let journal = if resume && jpath.exists() {
-        let (jheader, mut outcomes, text) = read_journal(&jpath)?;
-        check_same_shard(&jheader, &file).map_err(|e| {
+    let (journal, done_idx) = if resume && jpath.exists() {
+        let (jheader, outcomes, text) = read_journal(&jpath)?;
+        let foreign = if jheader.shard != file.shard {
+            Err(format!(
+                "{}: holds shard {}, the plan is shard {}",
+                jheader.ctx(),
+                jheader.shard,
+                file.shard
+            ))
+        } else {
+            check_same_plan(&jheader, &file)
+        };
+        foreign.map_err(|e| {
             format!("{e} — the journal belongs to a different plan; delete it and re-run")
         })?;
-        let planned_idx: HashSet<usize> = cells.iter().map(|c| c.index).collect();
         for o in &outcomes {
             check_cell_matches(&jheader.ctx(), &o.spec, &reference)?;
             if !planned_idx.contains(&o.spec.index) {
@@ -907,14 +871,6 @@ pub fn run_shard(
                 ));
             }
         }
-        // A journal written by an unfrozen run must not leak wall-clock
-        // values into a frozen resume's outputs.
-        if crate::freeze_perf() {
-            for o in &mut outcomes {
-                o.wall = Duration::ZERO;
-                o.rss = 0;
-            }
-        }
         println!(
             "resuming shard {} of '{}': {} of {} cells journaled, {} to run",
             file.shard,
@@ -923,12 +879,12 @@ pub fn run_shard(
             cells.len(),
             cells.len() - outcomes.len()
         );
-        journaled = outcomes;
-        JournalWriter::resume(jpath, text)
+        let done_idx: HashSet<usize> = outcomes.iter().map(|o| o.spec.index).collect();
+        (JournalWriter::resume(jpath.clone(), text), done_idx)
     } else {
         // The journal header is the plan's header verbatim (minus the
-        // cell list), kind flipped — exactly how the partial's header
-        // is built, so merge validates all three the same way.
+        // cell list), kind flipped, so merge validates it the way
+        // resume validates it against the plan.
         let Json::Obj(plan_fields) = &file.doc else {
             unreachable!("parsed shard file is an object");
         };
@@ -940,191 +896,65 @@ pub fn run_shard(
                 _ => (k.clone(), v.clone()),
             })
             .collect();
-        JournalWriter::create(jpath, &Json::Obj(header))?
+        let journal = JournalWriter::create(jpath.clone(), &Json::Obj(header))?;
+        (journal, HashSet::new())
     };
-
-    let done_idx: HashSet<usize> = journaled.iter().map(|o| o.spec.index).collect();
     let remaining: Vec<CellSpec> = cells
         .iter()
         .filter(|c| !done_idx.contains(&c.index))
         .cloned()
         .collect();
 
-    // Heartbeat: written once up front (proving the shard started, and
-    // carrying any resumed progress), then rewritten after every
-    // completed cell. Journal appends and heartbeats share the mutex
-    // because cells complete on rayon workers.
-    let hb_path = heartbeat_path(plan_path);
-    let planned = cells.len();
-    let base_done = journaled.len();
-    write_heartbeat(
-        &hb_path,
-        &file,
-        planned,
-        base_done,
-        journaled.last().map(|o| o.spec.index),
-    );
-    let kill = kill_after(file.shard, base_done);
-    let state = std::sync::Mutex::new((base_done, journal));
-    let new_outcomes = runner::run_cells_with(scenario, &remaining, parallel, &|o| {
-        let mut guard = state.lock().unwrap();
+    // Cells complete on rayon workers, so appends share a mutex.
+    let kill = kill_after(file.shard, done_idx.len());
+    let state = std::sync::Mutex::new((0usize, journal));
+    runner::run_cells(scenario, &remaining, parallel, &|o| {
+        let mut guard = state
+            .lock()
+            .expect("a cell worker panicked while journaling");
         let (done, journal) = &mut *guard;
-        // A failed journal append costs resumability, never the run:
-        // the partial below still carries the cell.
-        if let Err(e) = journal.append_line(&encode_outcome(o).render()) {
-            eprintln!("warning: cell {} not journaled: {e}", o.spec.index);
-        }
+        journal
+            .append_line(&encode_outcome(o).render())
+            .map_err(|e| format!("{ctx}: cell {} could not be journaled: {e}", o.spec.index))?;
         *done += 1;
-        write_heartbeat(&hb_path, &file, planned, *done, Some(o.spec.index));
-        if kill == Some(*done - base_done) {
+        if kill == Some(*done) {
             kill_self_for_test();
         }
-    });
-    drop(state);
-    let mut outcomes = journaled;
-    outcomes.extend(new_outcomes);
-    // Journal order on a resumed run is replayed-then-recomputed, not
-    // grid order; restore grid order so the partial is byte-identical
-    // to an uninterrupted run's.
-    outcomes.sort_by_key(|o| o.spec.index);
-    let mut fields = Vec::with_capacity(12);
-    let Json::Obj(header) = &file.doc else {
-        unreachable!("parsed shard file is an object");
-    };
-    // Copy the plan's header verbatim (minus its cell list), flipping
-    // the kind — merge re-validates consistency across partials.
-    for (k, v) in header {
-        match k.as_str() {
-            "cells" => {}
-            "kind" => fields.push(("kind".to_string(), Json::from("partial"))),
-            _ => fields.push((k.clone(), v.clone())),
-        }
-    }
-    fields.push((
-        "outcomes".to_string(),
-        Json::arr(outcomes.iter().map(encode_outcome)),
-    ));
-    let path = out
-        .map(Path::to_path_buf)
-        .unwrap_or_else(|| default_partial_path(plan_path));
-    let doc = Json::Obj(fields);
-    // A transient I/O failure here would throw away a whole shard of
-    // simulated cells, so retry with backoff before giving up — naming
-    // the cells at stake, so an operator reading the log knows what a
-    // persistent failure loses (though with the journal intact, a
-    // `--resume` re-run replays them for free).
-    let cell_list = cells
-        .iter()
-        .map(|c| c.index.to_string())
-        .collect::<Vec<_>>()
-        .join(", ");
-    retry_with_backoff(
-        &format!("writing partial {} (cells [{cell_list}])", path.display()),
-        WRITE_ATTEMPTS,
-        WRITE_BACKOFF_BASE,
-        WRITE_BACKOFF_CAP,
-        || doc.write_to(&path),
-    )?;
-    Ok(path)
+        Ok(())
+    })?;
+    Ok(jpath)
 }
 
 // -------------------------------------------------------------------
 // merge
 // -------------------------------------------------------------------
 
-/// One loaded merge input: a monolithic partial (`….result.json`) or a
-/// per-shard resume journal (`….cells.jsonl`). Both carry the same
-/// header and decode to the same outcomes, so every validation
-/// downstream of loading is shared — a journal merge is held to the
-/// identical exactly-once coverage bar as a partial merge.
-struct LoadedPartial {
-    header: ShardFile,
-    outcomes: Vec<CellOutcome>,
-}
-
-fn load_partial(path: &Path) -> Result<LoadedPartial, String> {
-    if is_journal_path(path) {
-        let (header, outcomes, _text) = read_journal(path)?;
-        return Ok(LoadedPartial { header, outcomes });
-    }
-    let file = read_shard_file(path, "partial")?;
-    let ctx = file.ctx();
-    let outcomes = file
-        .doc
-        .get("outcomes")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("{ctx}: no 'outcomes' array"))?
-        .iter()
-        .map(|j| decode_outcome(&ctx, j, file.scale))
-        .collect::<Result<_, _>>()?;
-    Ok(LoadedPartial {
-        header: file,
-        outcomes,
-    })
-}
-
-/// Validates and merges partial-result files — or `….cells.jsonl`
-/// resume journals, in any mix — into the final report, writing
-/// `BENCH_<name>.json` and `results/*.csv` under `out_root` —
-/// byte-identical to what a direct run of the whole grid writes (under
-/// [`crate::freeze_perf`]; wall-clock fields otherwise differ by
+/// Validates and merges the shards' journals (`….cells.jsonl`) into the
+/// final report, writing `BENCH_<name>.json` and `results/*.csv` under
+/// `out_root` — byte-identical to what a direct run of the whole grid
+/// writes (under [`crate::freeze_perf`], which also zeroes whatever
+/// wall-clock values the journals recorded; otherwise those differ by
 /// nature). Returns the `BENCH_<name>.json` path.
-pub fn merge(partials: &[PathBuf], out_root: &Path) -> Result<PathBuf, String> {
-    if partials.is_empty() {
-        return Err("shard merge needs at least one partial-result or journal file".to_string());
+pub fn merge(journals: &[PathBuf], out_root: &Path) -> Result<PathBuf, String> {
+    if journals.is_empty() {
+        return Err("shard merge needs at least one journal file".to_string());
     }
-    let files: Vec<LoadedPartial> = partials
+    let files: Vec<(ShardFile, Vec<CellOutcome>)> = journals
         .iter()
-        .map(|p| load_partial(p))
+        .map(|p| read_journal(p).map(|(header, outcomes, _text)| (header, outcomes)))
         .collect::<Result<_, _>>()?;
 
     // Header consistency across inputs.
-    let first = &files[0].header;
-    for f in &files[1..] {
-        let f = &f.header;
-        for (what, a, b) in [
-            ("scenario", first.scenario.as_str(), f.scenario.as_str()),
-            ("source", first.source.as_str(), f.source.as_str()),
-        ] {
-            if a != b {
-                return Err(format!(
-                    "{}: {what} '{b}' does not match '{a}' from {} — partials of different runs",
-                    f.ctx(),
-                    first.path.display()
-                ));
-            }
-        }
-        if f.scale != first.scale || f.shards != first.shards || f.total_cells != first.total_cells
-        {
-            return Err(format!(
-                "{}: header (scale {}, {} shards, {} cells) does not match {} \
-                 (scale {}, {} shards, {} cells) — partials of different plans",
-                f.ctx(),
-                f.scale,
-                f.shards,
-                f.total_cells,
-                first.path.display(),
-                first.scale,
-                first.shards,
-                first.total_cells
-            ));
-        }
-        if f.spec_toml != first.spec_toml {
-            return Err(format!(
-                "{}: embedded spec differs from {} — partials of different specs",
-                f.ctx(),
-                first.path.display()
-            ));
-        }
+    let first = &files[0].0;
+    for (f, _) in &files[1..] {
+        check_same_plan(f, first).map_err(|e| format!("{e} — journals of different plans"))?;
     }
 
-    // Every shard present exactly once — a partial and a journal for
-    // the same shard are two claims on the same cells, and retried
-    // fleet workers must converge on one journal per shard, so a
-    // double claim refuses to merge rather than picking a winner.
+    // Every shard present exactly once — two journals for one shard are
+    // two claims on the same cells, so a double claim refuses to merge
+    // rather than picking a winner.
     let mut seen: Vec<Option<&ShardFile>> = vec![None; first.shards];
-    for f in &files {
-        let h = &f.header;
+    for (h, _) in &files {
         if let Some(prev) = seen[h.shard] {
             return Err(format!(
                 "{}: shard {} already provided by {}",
@@ -1143,7 +973,7 @@ pub fn merge(partials: &[PathBuf], out_root: &Path) -> Result<PathBuf, String> {
         .collect();
     if !missing.is_empty() {
         return Err(format!(
-            "missing partial(s) for shard(s) {} of {} — '{}' planned {} shards",
+            "missing journal(s) for shard(s) {} of {} — '{}' planned {} shards",
             missing.join(", "),
             first.shards,
             first.scenario,
@@ -1169,26 +999,12 @@ pub fn merge(partials: &[PathBuf], out_root: &Path) -> Result<PathBuf, String> {
         ));
     }
 
-    // Heartbeat cross-check: advisory only. A heartbeat reporting fewer
-    // completed cells than the plan assigned means the shard run was
-    // interrupted (or the input is stale); merge still hard-fails
-    // below if any cell is actually missing, so this is a warning that
-    // names the likely culprit — and the exact grid cells it owes.
-    for f in &files {
-        let planned: Vec<&CellSpec> = reference
-            .iter()
-            .filter(|c| c.index % first.shards == f.header.shard)
-            .collect();
-        let have: HashSet<usize> = f.outcomes.iter().map(|o| o.spec.index).collect();
-        warn_on_short_heartbeat(&f.header.path, f.header.shard, &planned, &have);
-    }
-
     // Every grid cell covered exactly once, each cell's identity
     // (seed + parameters) matching this binary's grid.
     let mut owner: Vec<Option<&ShardFile>> = vec![None; reference.len()];
-    for f in &files {
-        let ctx = f.header.ctx();
-        for o in &f.outcomes {
+    for (h, outcomes) in &files {
+        let ctx = h.ctx();
+        for o in outcomes {
             let Some(slot) = owner.get_mut(o.spec.index) else {
                 return Err(format!(
                     "{ctx}: cell index {} outside the {}-cell grid",
@@ -1204,7 +1020,7 @@ pub fn merge(partials: &[PathBuf], out_root: &Path) -> Result<PathBuf, String> {
                 ));
             }
             check_cell_matches(&ctx, &o.spec, &reference)?;
-            *slot = Some(&f.header);
+            *slot = Some(h);
         }
     }
     let missing: Vec<String> = owner
@@ -1215,7 +1031,7 @@ pub fn merge(partials: &[PathBuf], out_root: &Path) -> Result<PathBuf, String> {
         .collect();
     if !missing.is_empty() {
         return Err(format!(
-            "grid cell(s) {} of '{}' missing from the provided partials \
+            "grid cell(s) {} of '{}' missing from the provided journals \
              ({} of {} cells present) — a shard was truncated or its run incomplete",
             missing.join(", "),
             first.scenario,
@@ -1224,7 +1040,8 @@ pub fn merge(partials: &[PathBuf], out_root: &Path) -> Result<PathBuf, String> {
         ));
     }
     let scale = first.scale;
-    let outcomes: Vec<CellOutcome> = files.into_iter().flat_map(|f| f.outcomes).collect();
+    let mut outcomes: Vec<CellOutcome> = files.into_iter().flat_map(|(_, o)| o).collect();
+    runner::freeze_walls(&mut outcomes);
 
     let run = runner::assemble(scenario, outcomes);
     // There is no meaningful whole-batch wall clock for a distributed
@@ -1232,61 +1049,6 @@ pub fn merge(partials: &[PathBuf], out_root: &Path) -> Result<PathBuf, String> {
     // freeze-perf.
     runner::render_into(&run, scale, Duration::ZERO, out_root)
         .map_err(|e| format!("cannot write merged report: {e}"))
-}
-
-/// Reads the heartbeat sitting next to a merge input (partial or
-/// journal) and warns (to stderr) if it reports fewer completed cells
-/// than the plan assigned to that shard — naming the exact grid cells
-/// the input actually lacks, so an operator sees *which* sweep points
-/// an interrupted shard still owes, not just a count. Missing or
-/// unparseable heartbeats are silently fine — older runs never wrote
-/// one.
-fn warn_on_short_heartbeat(
-    input: &Path,
-    shard: usize,
-    planned: &[&CellSpec],
-    have: &HashSet<usize>,
-) {
-    let s = input.to_string_lossy();
-    let Some(stem) = s
-        .strip_suffix(".result.json")
-        .or_else(|| s.strip_suffix(".cells.jsonl"))
-    else {
-        return;
-    };
-    let hb = PathBuf::from(format!("{stem}.heartbeat.json"));
-    let Ok(text) = std::fs::read_to_string(&hb) else {
-        return;
-    };
-    let Ok(doc) = Json::parse(&text) else {
-        return;
-    };
-    let done = doc.get("cells_done").and_then(Json::as_u64).unwrap_or(0) as usize;
-    if done >= planned.len() {
-        return;
-    }
-    let missing: Vec<String> = planned
-        .iter()
-        .filter(|c| !have.contains(&c.index))
-        .map(|c| format!("{} [{}]", c.index, c.label()))
-        .collect();
-    if missing.is_empty() {
-        eprintln!(
-            "warning: heartbeat {} reports {done}/{} cells done for shard {shard}, \
-             but every planned cell is present — stale heartbeat; merge proceeds",
-            hb.display(),
-            planned.len()
-        );
-    } else {
-        eprintln!(
-            "warning: heartbeat {} reports {done}/{} cells done for shard {shard} — \
-             the shard run was interrupted or its input is stale; it lacks cell(s) \
-             {} (cell-coverage validation below is still authoritative)",
-            hb.display(),
-            planned.len(),
-            missing.join(", ")
-        );
-    }
 }
 
 // -------------------------------------------------------------------
@@ -1463,43 +1225,6 @@ mod tests {
         let cells = source.scenario().grid(Scale::Smoke).len();
         let e = plan(&source, Scale::Smoke, cells + 1, &dir).unwrap_err();
         assert!(e.contains("use --shards"), "{e}");
-    }
-
-    #[test]
-    fn heartbeat_round_trips_next_to_the_plan() {
-        assert_eq!(
-            heartbeat_path(Path::new("shards/fig12.shard-0.json")),
-            PathBuf::from("shards/fig12.shard-0.heartbeat.json")
-        );
-        let dir = std::env::temp_dir().join(format!("occamy_shard_hb_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let file = ShardFile {
-            path: dir.join("fig12.shard-1.json"),
-            scenario: "fig12".to_string(),
-            source: "registry".to_string(),
-            spec_toml: None,
-            scale: Scale::Smoke,
-            shard: 1,
-            shards: 3,
-            total_cells: 9,
-            doc: Json::Null,
-        };
-        let hb = heartbeat_path(&file.path);
-        write_heartbeat(&hb, &file, 3, 2, Some(4));
-        let doc = Json::parse(&std::fs::read_to_string(&hb).unwrap()).unwrap();
-        assert_eq!(doc.get("kind").and_then(Json::as_str), Some("heartbeat"));
-        assert_eq!(doc.get("cells_done").and_then(Json::as_u64), Some(2));
-        assert_eq!(doc.get("cells_planned").and_then(Json::as_u64), Some(3));
-        assert_eq!(doc.get("last_cell").and_then(Json::as_u64), Some(4));
-        // Short heartbeat (2 of 3) triggers the advisory path without
-        // erroring; full-coverage validation stays authoritative.
-        let grid = crate::scenario::Grid::new("fig12", Scale::Smoke)
-            .axis("k", [1u64, 2, 3])
-            .build();
-        let planned: Vec<&CellSpec> = grid.iter().collect();
-        let have: HashSet<usize> = [0].into_iter().collect();
-        warn_on_short_heartbeat(&dir.join("fig12.shard-1.result.json"), 1, &planned, &have);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -86,16 +86,16 @@ fn assert_matches_direct(merged_root: &Path, tag: &str) {
 }
 
 /// Plans fig12 (smoke: 4 cells) into 2 shards under `root/shards` and
-/// runs both serially, journaling as they go. Returns (plans, partials).
+/// runs both serially, journaling as they go. Returns (plans, journals).
 fn fig12_fleet_artifacts(root: &Path) -> (Vec<PathBuf>, Vec<PathBuf>) {
     freeze();
     let source = ShardSource::from_name("fig12").unwrap();
     let plans = shard::plan(&source, Scale::Smoke, 2, &root.join("shards")).unwrap();
-    let partials = plans
+    let journals = plans
         .iter()
-        .map(|p| shard::run_shard(p, false, None, false).unwrap())
+        .map(|p| shard::run_shard(p, false, false).unwrap())
         .collect();
-    (plans, partials)
+    (plans, journals)
 }
 
 /// Truncates a journal to its header plus the first `keep` outcome
@@ -112,22 +112,20 @@ fn truncate_journal(journal: &Path, keep: usize) -> String {
 #[test]
 fn kill_and_resume_merges_byte_identical_to_direct_run() {
     let root = scratch("resume");
-    let (plans, partials) = fig12_fleet_artifacts(&root);
+    let (plans, journals) = fig12_fleet_artifacts(&root);
 
-    // Simulate shard 0 dying one cell in: journal loses its second
-    // outcome, the partial and heartbeat were never written.
-    let journal = shard::journal_path(&plans[0]);
-    let full = std::fs::read_to_string(&journal).unwrap();
+    // Simulate shard 0 dying one cell in: its journal lacks the second
+    // outcome.
+    let journal = &journals[0];
+    assert_eq!(journal, &shard::journal_path(&plans[0]));
+    let full = std::fs::read_to_string(journal).unwrap();
     assert_eq!(full.lines().count(), 3, "header + 2 journaled cells");
-    let truncated = truncate_journal(&journal, 1);
-    std::fs::remove_file(&partials[0]).unwrap();
-    std::fs::remove_file(shard::heartbeat_path(&plans[0])).unwrap();
+    let truncated = truncate_journal(journal, 1);
 
     // Resume: the journaled cell is replayed, only the missing one
     // recomputed, and the journal grows append-only.
-    let resumed_partial = shard::run_shard(&plans[0], false, None, true).unwrap();
-    assert_eq!(resumed_partial, partials[0]);
-    let resumed = std::fs::read_to_string(&journal).unwrap();
+    assert_eq!(&shard::run_shard(&plans[0], false, true).unwrap(), journal);
+    let resumed = std::fs::read_to_string(journal).unwrap();
     assert!(
         resumed.starts_with(&truncated),
         "resume must append to the surviving journal, not rewrite it"
@@ -138,36 +136,25 @@ fn kill_and_resume_merges_byte_identical_to_direct_run() {
         "resume recomputes exactly the one unjournaled cell"
     );
 
-    shard::merge(&partials, &root).unwrap();
+    shard::merge(&journals, &root).unwrap();
     assert_matches_direct(&root, "resume");
     let _ = std::fs::remove_dir_all(&root);
 }
 
 #[test]
-fn merge_accepts_journals_in_place_of_partials() {
-    let root = scratch("jmerge");
-    let (plans, partials) = fig12_fleet_artifacts(&root);
-    // Shard 0 by journal, shard 1 by partial — any mix merges to the
-    // same bytes.
-    let inputs = vec![shard::journal_path(&plans[0]), partials[1].clone()];
-    shard::merge(&inputs, &root).unwrap();
-    assert_matches_direct(&root, "jmerge");
-    let _ = std::fs::remove_dir_all(&root);
-}
-
-#[test]
-fn journal_and_partial_for_same_shard_do_not_merge() {
-    let root = scratch("dupshard");
-    let (plans, partials) = fig12_fleet_artifacts(&root);
-    let inputs = vec![
-        partials[0].clone(),
-        shard::journal_path(&plans[0]),
-        partials[1].clone(),
-    ];
-    let err = shard::merge(&inputs, &root).unwrap_err();
+fn failed_journal_write_fails_the_shard() {
+    let root = scratch("jwrite");
+    let (plans, journals) = fig12_fleet_artifacts(&root);
+    // Shard 0 (cells 0 and 2) was killed one cell in, and now its
+    // journal cannot be rewritten: a directory squats on the temp path
+    // every append renames from.
+    truncate_journal(&journals[0], 1);
+    let tmp = root.join("shards/fig12.shard-0.cells.jsonl.tmp");
+    std::fs::create_dir(&tmp).unwrap();
+    let err = shard::run_shard(&plans[0], false, true).unwrap_err();
     assert!(
-        err.contains("already provided by"),
-        "a shard covered twice must be rejected: {err}"
+        err.contains("shard-0") && err.contains("cell 2 could not be journaled"),
+        "a result that cannot be journaled must fail the shard: {err}"
     );
     let _ = std::fs::remove_dir_all(&root);
 }
@@ -175,22 +162,22 @@ fn journal_and_partial_for_same_shard_do_not_merge() {
 #[test]
 fn torn_journal_line_fails_naming_the_shard() {
     let root = scratch("torn");
-    let (plans, _partials) = fig12_fleet_artifacts(&root);
-    let journal = shard::journal_path(&plans[1]);
-    let text = std::fs::read_to_string(&journal).unwrap();
+    let (plans, journals) = fig12_fleet_artifacts(&root);
+    let journal = &journals[1];
+    let text = std::fs::read_to_string(journal).unwrap();
 
     // A journal cut mid-line (no trailing newline), as an interrupted
     // copy leaves it.
-    std::fs::write(&journal, &text[..text.len() - 20]).unwrap();
-    let err = shard::run_shard(&plans[1], false, None, true).unwrap_err();
+    std::fs::write(journal, &text[..text.len() - 20]).unwrap();
+    let err = shard::run_shard(&plans[1], false, true).unwrap_err();
     assert!(
         err.contains("truncated mid-write") && err.contains("shard-1"),
         "a torn journal must fail naming the shard: {err}"
     );
 
     // A half-written last line that does end in a newline: invalid JSON.
-    std::fs::write(&journal, format!("{}\n", &text[..text.len() - 20])).unwrap();
-    let err = shard::run_shard(&plans[1], false, None, true).unwrap_err();
+    std::fs::write(journal, format!("{}\n", &text[..text.len() - 20])).unwrap();
+    let err = shard::run_shard(&plans[1], false, true).unwrap_err();
     assert!(
         err.contains("not valid JSON") && err.contains("shard 1"),
         "a half-written line must fail naming the shard: {err}"
@@ -201,21 +188,21 @@ fn torn_journal_line_fails_naming_the_shard() {
 #[test]
 fn duplicated_journal_cell_fails_naming_the_shard() {
     let root = scratch("dupcell");
-    let (plans, _partials) = fig12_fleet_artifacts(&root);
-    let journal = shard::journal_path(&plans[1]);
-    let mut text = std::fs::read_to_string(&journal).unwrap();
+    let (plans, journals) = fig12_fleet_artifacts(&root);
+    let journal = &journals[1];
+    let mut text = std::fs::read_to_string(journal).unwrap();
     let last = text.lines().last().unwrap().to_string();
     text.push_str(&last);
     text.push('\n');
-    std::fs::write(&journal, &text).unwrap();
+    std::fs::write(journal, &text).unwrap();
 
     // Both the resume path and the merge path must refuse it.
-    let err = shard::run_shard(&plans[1], false, None, true).unwrap_err();
+    let err = shard::run_shard(&plans[1], false, true).unwrap_err();
     assert!(
         err.contains("already journaled") && err.contains("shard 1"),
         "a duplicated cell must fail the resume: {err}"
     );
-    let err = shard::merge(std::slice::from_ref(&journal), &root).unwrap_err();
+    let err = shard::merge(std::slice::from_ref(journal), &root).unwrap_err();
     assert!(
         err.contains("already journaled") && err.contains("shard 1"),
         "a duplicated cell must fail the merge: {err}"
@@ -226,15 +213,10 @@ fn duplicated_journal_cell_fails_naming_the_shard() {
 #[test]
 fn foreign_journal_is_rejected_on_resume() {
     let root = scratch("foreign");
-    let (plans, partials) = fig12_fleet_artifacts(&root);
+    let (plans, journals) = fig12_fleet_artifacts(&root);
     // Shard 1's journal dropped in place of shard 0's: header mismatch.
-    std::fs::copy(
-        shard::journal_path(&plans[1]),
-        shard::journal_path(&plans[0]),
-    )
-    .unwrap();
-    std::fs::remove_file(&partials[0]).unwrap();
-    let err = shard::run_shard(&plans[0], false, None, true).unwrap_err();
+    std::fs::copy(&journals[1], &journals[0]).unwrap();
+    let err = shard::run_shard(&plans[0], false, true).unwrap_err();
     assert!(
         err.contains("belongs to a different plan"),
         "a foreign journal must not resume: {err}"
@@ -295,6 +277,25 @@ fn fleet_survives_a_sigkilled_worker_and_merges_byte_identical() {
     // cell was not recomputed.
     let journal = std::fs::read_to_string(shard::journal_path(&plans[1])).unwrap();
     assert_eq!(journal.lines().count(), 3, "journal:\n{journal}");
+    // Plans, journals, worker logs and the status mirror are all the
+    // fleet leaves next to the plans.
+    let mut names: Vec<String> = std::fs::read_dir(root.join("shards"))
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().to_string())
+        .collect();
+    names.sort();
+    assert_eq!(
+        names,
+        [
+            "fig12.shard-0.cells.jsonl",
+            "fig12.shard-0.json",
+            "fig12.shard-0.log",
+            "fig12.shard-1.cells.jsonl",
+            "fig12.shard-1.json",
+            "fig12.shard-1.log",
+            "fleet.status.json"
+        ]
+    );
 
     assert_matches_direct(&root, "fleet_kill");
 
@@ -341,7 +342,7 @@ fn fleet_degrades_gracefully_when_retries_are_exhausted() {
         stderr.contains("unfinished cells") && stderr.contains("shard 0 (1 attempts): 2 ["),
         "the cells still owed must be named by index and grid label:\n{stderr}"
     );
-    // The healthy shard still finished — its partial is on disk for a
+    // The healthy shard still finished — its journal is on disk for a
     // later resume.
     assert!(
         stdout.contains("shard 1 done"),

@@ -71,15 +71,15 @@ fn direct(source: &ShardSource, scale: Scale, root: &Path) {
     render_into(&runs[0], scale, stats.wall, root).unwrap();
 }
 
-/// plan → run each shard → merge into `root`; returns the partial paths.
+/// plan → run each shard → merge into `root`; returns the journal paths.
 fn sharded(source: &ShardSource, scale: Scale, shards: usize, root: &Path) -> Vec<PathBuf> {
     let plans = shard::plan(source, scale, shards, &root.join("shards")).unwrap();
-    let partials: Vec<PathBuf> = plans
+    let journals: Vec<PathBuf> = plans
         .iter()
-        .map(|p| shard::run_shard(p, false, None, false).unwrap())
+        .map(|p| shard::run_shard(p, false, false).unwrap())
         .collect();
-    shard::merge(&partials, root).unwrap();
-    partials
+    shard::merge(&journals, root).unwrap();
+    journals
 }
 
 /// The full equivalence check: identical file sets, byte-identical
@@ -92,7 +92,7 @@ fn assert_equivalent(source: &ShardSource, scale: Scale, shards: usize, tag: &st
     sharded(source, scale, shards, &b);
     let direct_files = tree(&a);
     let mut merged_files = tree(&b);
-    // The merged tree also holds the shard plan/partial files.
+    // The merged tree also holds the shard plan/journal files.
     merged_files.retain(|k, _| !k.starts_with("shards"));
     assert_eq!(
         direct_files.keys().collect::<Vec<_>>(),
@@ -160,31 +160,81 @@ fn paper_fabric_128h_plans_without_executing() {
 // Corruption handling
 // -------------------------------------------------------------------
 
-/// Plans fig12 into 2 shards and runs both, returning (root, partials).
-fn fig12_partials() -> (PathBuf, Vec<PathBuf>) {
+/// Plans fig12 into 2 shards and runs both, returning (root, journals).
+fn fig12_journals() -> (PathBuf, Vec<PathBuf>) {
     freeze();
     let root = scratch("corrupt");
     let source = ShardSource::from_name("fig12").unwrap();
     let plans = shard::plan(&source, Scale::Smoke, 2, &root.join("shards")).unwrap();
-    let partials = plans
+    let journals = plans
         .iter()
-        .map(|p| shard::run_shard(p, false, None, false).unwrap())
+        .map(|p| shard::run_shard(p, false, false).unwrap())
         .collect();
-    (root, partials)
+    (root, journals)
+}
+
+/// Rewrites a journal line by line: `header` maps the header line,
+/// `keep` filters the outcome lines.
+fn rewrite_journal(journal: &Path, header: impl Fn(&str) -> String, keep: impl Fn(&Json) -> bool) {
+    let text = std::fs::read_to_string(journal).unwrap();
+    let mut lines = text.lines();
+    let mut out = header(lines.next().unwrap());
+    out.push('\n');
+    for line in lines.filter(|l| keep(&Json::parse(l).unwrap())) {
+        out.push_str(line);
+        out.push('\n');
+    }
+    std::fs::write(journal, out).unwrap();
+}
+
+/// Rewrites a plan's cell list through `edit`.
+fn rewrite_plan_cells(plan: &Path, edit: impl Fn(&mut Vec<Json>)) {
+    let doc = Json::parse(&std::fs::read_to_string(plan).unwrap()).unwrap();
+    let Json::Obj(mut fields) = doc else { panic!() };
+    for (k, v) in &mut fields {
+        if k == "cells" {
+            let Json::Arr(items) = v else { panic!() };
+            edit(items);
+        }
+    }
+    std::fs::write(plan, format!("{}\n", Json::Obj(fields))).unwrap();
 }
 
 #[test]
-fn truncated_partial_fails_naming_the_shard() {
-    let (root, partials) = fig12_partials();
-    let bytes = std::fs::read(&partials[1]).unwrap();
-    std::fs::write(&partials[1], &bytes[..bytes.len() / 2]).unwrap();
-    let err = shard::merge(&partials, &root).unwrap_err();
+fn journals_are_the_only_shard_artifact() {
+    let (root, journals) = fig12_journals();
+    let mut names: Vec<String> = std::fs::read_dir(root.join("shards"))
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().to_string())
+        .collect();
+    names.sort();
+    assert_eq!(
+        names,
+        [
+            "fig12.shard-0.cells.jsonl",
+            "fig12.shard-0.json",
+            "fig12.shard-1.cells.jsonl",
+            "fig12.shard-1.json"
+        ]
+    );
+    assert!(journals[0].ends_with("shards/fig12.shard-0.cells.jsonl"));
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn truncated_journal_fails_naming_the_shard() {
+    let (root, journals) = fig12_journals();
+    let bytes = std::fs::read(&journals[1]).unwrap();
+    let cut = &bytes[..bytes.len() / 2];
+    assert_ne!(cut.last(), Some(&b'\n'), "the cut falls inside a line");
+    std::fs::write(&journals[1], cut).unwrap();
+    let err = shard::merge(&journals, &root).unwrap_err();
     assert!(
-        err.contains("fig12.shard-1.result.json"),
+        err.contains("fig12.shard-1.cells.jsonl"),
         "error must name the truncated shard: {err}"
     );
     assert!(
-        err.contains("truncated or corrupted"),
+        err.contains("truncated mid-write"),
         "error must say what is wrong: {err}"
     );
     let _ = std::fs::remove_dir_all(&root);
@@ -192,12 +242,16 @@ fn truncated_partial_fails_naming_the_shard() {
 
 #[test]
 fn version_mismatch_fails_with_both_versions() {
-    let (root, partials) = fig12_partials();
-    let text = std::fs::read_to_string(&partials[0]).unwrap();
-    std::fs::write(&partials[0], text.replace("\"format\":1", "\"format\":99")).unwrap();
-    let err = shard::merge(&partials, &root).unwrap_err();
+    let (root, journals) = fig12_journals();
+    let text = std::fs::read_to_string(&journals[0]).unwrap();
+    std::fs::write(
+        &journals[0],
+        text.replacen("\"format\":1", "\"format\":99", 1),
+    )
+    .unwrap();
+    let err = shard::merge(&journals, &root).unwrap_err();
     assert!(
-        err.contains("fig12.shard-0.result.json") && err.contains("99"),
+        err.contains("fig12.shard-0.cells.jsonl") && err.contains("99"),
         "error must name the shard and its version: {err}"
     );
     assert!(err.contains("version 1"), "{err}");
@@ -206,17 +260,17 @@ fn version_mismatch_fails_with_both_versions() {
     let plan = root.join("shards/fig12.shard-0.json");
     let text = std::fs::read_to_string(&plan).unwrap();
     std::fs::write(&plan, text.replace("\"format\":1", "\"format\":2")).unwrap();
-    let err = shard::run_shard(&plan, false, None, false).unwrap_err();
+    let err = shard::run_shard(&plan, false, false).unwrap_err();
     assert!(err.contains("format version 2"), "{err}");
     let _ = std::fs::remove_dir_all(&root);
 }
 
 #[test]
 fn missing_shard_fails_listing_it() {
-    let (root, partials) = fig12_partials();
-    let err = shard::merge(&partials[..1], &root).unwrap_err();
+    let (root, journals) = fig12_journals();
+    let err = shard::merge(&journals[..1], &root).unwrap_err();
     assert!(
-        err.contains("missing partial(s) for shard(s) 1"),
+        err.contains("missing journal(s) for shard(s) 1"),
         "error must list the absent shard: {err}"
     );
     let _ = std::fs::remove_dir_all(&root);
@@ -224,11 +278,11 @@ fn missing_shard_fails_listing_it() {
 
 #[test]
 fn duplicate_shard_fails_naming_both_files() {
-    let (root, partials) = fig12_partials();
-    let dup = vec![partials[0].clone(), partials[0].clone()];
+    let (root, journals) = fig12_journals();
+    let dup = vec![journals[0].clone(), journals[0].clone()];
     let err = shard::merge(&dup, &root).unwrap_err();
     assert!(
-        err.contains("already provided by"),
+        err.contains("already provided by") && err.contains("fig12.shard-0.cells.jsonl"),
         "duplicate shard must be rejected: {err}"
     );
     let _ = std::fs::remove_dir_all(&root);
@@ -236,24 +290,45 @@ fn duplicate_shard_fails_naming_both_files() {
 
 #[test]
 fn dropped_cell_fails_instead_of_silently_merging() {
-    let (root, partials) = fig12_partials();
-    // Surgically remove one outcome from shard 0 (keeping valid JSON),
-    // as a partially-uploaded or interrupted run would.
-    let doc = Json::parse(&std::fs::read_to_string(&partials[0]).unwrap()).unwrap();
-    let Json::Obj(mut fields) = doc else { panic!() };
-    let mut removed = None;
-    for (k, v) in &mut fields {
-        if k == "outcomes" {
-            let Json::Arr(items) = v else { panic!() };
-            removed = items.pop();
-        }
-    }
-    assert!(removed.is_some(), "partial had no outcomes to drop");
-    std::fs::write(&partials[0], format!("{}\n", Json::Obj(fields))).unwrap();
-    let err = shard::merge(&partials, &root).unwrap_err();
+    let (root, journals) = fig12_journals();
+    // Remove shard 0's last journaled cell (keeping a valid journal), as
+    // an interrupted run leaves it.
+    let last = std::fs::read_to_string(&journals[0])
+        .unwrap()
+        .lines()
+        .last()
+        .unwrap()
+        .to_string();
+    let dropped = Json::parse(&last).unwrap().get("index").unwrap().as_u64();
+    rewrite_journal(&journals[0], str::to_string, |o| {
+        o.get("index").and_then(Json::as_u64) != dropped
+    });
+    let err = shard::merge(&journals, &root).unwrap_err();
     assert!(
-        err.contains("missing from the provided partials"),
-        "a dropped cell must fail the merge: {err}"
+        err.contains("missing from the provided journals")
+            && err.contains(&format!("grid cell(s) {} [", dropped.unwrap())),
+        "a dropped cell must fail the merge, naming it: {err}"
+    );
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn legacy_partial_result_file_is_refused_naming_it() {
+    // Older binaries wrote a monolithic `<plan stem>.result.json` per
+    // shard. Merge reads journals only and must say so, naming the file.
+    let (root, journals) = fig12_journals();
+    let plan = root.join("shards/fig12.shard-0.json");
+    let legacy = root.join("shards/fig12.shard-0.result.json");
+    let text = std::fs::read_to_string(&plan).unwrap();
+    std::fs::write(
+        &legacy,
+        text.replace("\"kind\":\"plan\"", "\"kind\":\"partial\""),
+    )
+    .unwrap();
+    let err = shard::merge(&[legacy, journals[1].clone()], &root).unwrap_err();
+    assert!(
+        err.contains("fig12.shard-0.result.json") && err.contains("expected a 'journal' file"),
+        "{err}"
     );
     let _ = std::fs::remove_dir_all(&root);
 }
@@ -264,23 +339,17 @@ fn tampered_seed_is_rejected_before_running() {
     let root = scratch("tamper");
     let source = ShardSource::from_name("fig12").unwrap();
     let plans = shard::plan(&source, Scale::Smoke, 2, &root).unwrap();
-    let doc = Json::parse(&std::fs::read_to_string(&plans[0]).unwrap()).unwrap();
-    let Json::Obj(mut fields) = doc else { panic!() };
-    for (k, v) in &mut fields {
-        if k == "cells" {
-            let Json::Arr(items) = v else { panic!() };
-            let Json::Obj(cell) = &mut items[0] else {
-                panic!()
-            };
-            for (ck, cv) in cell {
-                if ck == "seed" {
-                    *cv = Json::from(12345u64);
-                }
+    rewrite_plan_cells(&plans[0], |items| {
+        let Json::Obj(cell) = &mut items[0] else {
+            panic!()
+        };
+        for (ck, cv) in cell {
+            if ck == "seed" {
+                *cv = Json::from(12345u64);
             }
         }
-    }
-    std::fs::write(&plans[0], format!("{}\n", Json::Obj(fields))).unwrap();
-    let err = shard::run_shard(&plans[0], false, None, false).unwrap_err();
+    });
+    let err = shard::run_shard(&plans[0], false, false).unwrap_err();
     assert!(
         err.contains("disagrees with this binary's grid"),
         "a tampered seed must not execute: {err}"
@@ -289,29 +358,64 @@ fn tampered_seed_is_rejected_before_running() {
 }
 
 #[test]
-fn consistently_shrunken_partials_do_not_silently_drop_cells() {
-    // Both partials rewritten to claim a 2-cell grid, with the cells
+fn repeated_plan_cell_is_rejected_before_running() {
+    freeze();
+    let root = scratch("repeat");
+    let source = ShardSource::from_name("fig12").unwrap();
+    let plans = shard::plan(&source, Scale::Smoke, 2, &root).unwrap();
+    rewrite_plan_cells(&plans[0], |items| items.push(items[0].clone()));
+    let err = shard::run_shard(&plans[0], false, false).unwrap_err();
+    assert!(
+        err.contains("fig12.shard-0.json") && err.contains("cell 0 is listed twice"),
+        "a repeated cell must not execute: {err}"
+    );
+    assert!(
+        !shard::journal_path(&plans[0]).exists(),
+        "nothing may run before the plan is validated"
+    );
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn foreign_plan_cell_is_rejected_before_running() {
+    freeze();
+    let root = scratch("foreign_cell");
+    let source = ShardSource::from_name("fig12").unwrap();
+    let plans = shard::plan(&source, Scale::Smoke, 2, &root).unwrap();
+    // Shard 1's first cell (grid cell 1, a genuine cell of the grid)
+    // smuggled into shard 0's plan.
+    let other = Json::parse(&std::fs::read_to_string(&plans[1]).unwrap()).unwrap();
+    let cell1 = other.get("cells").and_then(Json::as_arr).unwrap()[0].clone();
+    rewrite_plan_cells(&plans[0], |items| items.push(cell1.clone()));
+    let err = shard::run_shard(&plans[0], false, false).unwrap_err();
+    assert!(
+        err.contains("fig12.shard-0.json") && err.contains("cell 1 belongs to shard 1"),
+        "a foreign shard's cell must not execute: {err}"
+    );
+    assert!(
+        !shard::journal_path(&plans[0]).exists(),
+        "nothing may run before the plan is validated"
+    );
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn consistently_shrunken_journals_do_not_silently_drop_cells() {
+    // Both journals rewritten to claim a 2-cell grid, with the cells
     // beyond it removed — internally consistent, but not the grid this
     // binary derives for fig12. The merge must refuse, not emit a
     // "complete" half-report.
-    let (root, partials) = fig12_partials();
-    for p in &partials {
-        let doc = Json::parse(&std::fs::read_to_string(p).unwrap()).unwrap();
-        let Json::Obj(mut fields) = doc else { panic!() };
-        for (k, v) in &mut fields {
-            if k == "total_cells" {
-                *v = Json::from(2u64);
-            }
-            if k == "outcomes" {
-                let Json::Arr(items) = v else { panic!() };
-                items.retain(|o| o.get("index").and_then(Json::as_u64).unwrap() < 2);
-            }
-        }
-        std::fs::write(p, format!("{}\n", Json::Obj(fields))).unwrap();
+    let (root, journals) = fig12_journals();
+    for j in &journals {
+        rewrite_journal(
+            j,
+            |h| h.replace("\"total_cells\":4", "\"total_cells\":2"),
+            |o| o.get("index").and_then(Json::as_u64).unwrap() < 2,
+        );
     }
-    let err = shard::merge(&partials, &root).unwrap_err();
+    let err = shard::merge(&journals, &root).unwrap_err();
     assert!(
-        err.contains("this binary generates 4"),
+        err.contains("this binary generates 4") && err.contains("fig12.shard-0.cells.jsonl"),
         "a shrunken grid must fail the merge: {err}"
     );
     let _ = std::fs::remove_dir_all(&root);
@@ -319,47 +423,136 @@ fn consistently_shrunken_partials_do_not_silently_drop_cells() {
 
 #[test]
 fn absurd_wall_ms_errors_instead_of_panicking() {
-    let (root, partials) = fig12_partials();
-    let text = std::fs::read_to_string(&partials[0]).unwrap();
+    let (root, journals) = fig12_journals();
+    let text = std::fs::read_to_string(&journals[0]).unwrap();
     assert!(text.contains("\"wall_ms\":0"), "freeze-perf zeroes walls");
     std::fs::write(
-        &partials[0],
+        &journals[0],
         text.replacen("\"wall_ms\":0", "\"wall_ms\":1e300", 1),
     )
     .unwrap();
-    let err = shard::merge(&partials, &root).unwrap_err();
+    let err = shard::merge(&journals, &root).unwrap_err();
     assert!(
-        err.contains("'wall_ms'") && err.contains("out of range"),
+        err.contains("fig12.shard-0.cells.jsonl")
+            && err.contains("'wall_ms'")
+            && err.contains("out of range"),
         "{err}"
     );
     let _ = std::fs::remove_dir_all(&root);
 }
 
 #[test]
+fn frozen_merge_zeroes_walls_an_unfrozen_run_journaled() {
+    // Journals written without --freeze-perf carry real wall clocks and
+    // RSS; a frozen merge must still match a frozen direct run.
+    let (root, journals) = fig12_journals();
+    for j in &journals {
+        let text = std::fs::read_to_string(j).unwrap();
+        let unfrozen = text
+            .replace("\"wall_ms\":0", "\"wall_ms\":12.5")
+            .replace("\"peak_rss_bytes\":0", "\"peak_rss_bytes\":4096");
+        assert_ne!(text, unfrozen);
+        std::fs::write(j, unfrozen).unwrap();
+    }
+    shard::merge(&journals, &root).unwrap();
+    let direct_root = scratch("unfrozen_direct");
+    direct(
+        &ShardSource::from_name("fig12").unwrap(),
+        Scale::Smoke,
+        &direct_root,
+    );
+    for file in ["BENCH_fig12.json", "results/fig12_perf.csv"] {
+        assert_eq!(
+            std::fs::read(root.join(file)).unwrap(),
+            std::fs::read(direct_root.join(file)).unwrap(),
+            "{file}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&root);
+    let _ = std::fs::remove_dir_all(&direct_root);
+}
+
+#[test]
 fn implausible_header_counts_error_instead_of_aborting() {
-    let (root, partials) = fig12_partials();
-    let text = std::fs::read_to_string(&partials[0]).unwrap();
+    let (root, journals) = fig12_journals();
+    let text = std::fs::read_to_string(&journals[0]).unwrap();
     std::fs::write(
-        &partials[0],
-        text.replace("\"total_cells\":4", "\"total_cells\":4000000000000000000"),
+        &journals[0],
+        text.replacen(
+            "\"total_cells\":4",
+            "\"total_cells\":4000000000000000000",
+            1,
+        ),
     )
     .unwrap();
-    let err = shard::merge(&partials, &root).unwrap_err();
-    assert!(err.contains("implausible total_cells"), "{err}");
+    let err = shard::merge(&journals, &root).unwrap_err();
+    assert!(
+        err.contains("fig12.shard-0.cells.jsonl") && err.contains("implausible total_cells"),
+        "{err}"
+    );
     let _ = std::fs::remove_dir_all(&root);
 }
 
 #[test]
-fn partials_from_different_plans_do_not_merge() {
-    let (root, partials) = fig12_partials();
+fn journals_from_different_plans_do_not_merge() {
+    let (root, journals) = fig12_journals();
     // A 3-shard replan of the same scenario: shard counts disagree.
     let source = ShardSource::from_name("fig12").unwrap();
     let other_plans = shard::plan(&source, Scale::Smoke, 3, &root.join("shards3")).unwrap();
-    let other = shard::run_shard(&other_plans[1], false, None, false).unwrap();
-    let err = shard::merge(&[partials[0].clone(), other], &root).unwrap_err();
+    let other = shard::run_shard(&other_plans[1], false, false).unwrap();
+    let err = shard::merge(&[journals[0].clone(), other], &root).unwrap_err();
     assert!(
-        err.contains("partials of different plans"),
+        err.contains("journals of different plans") && err.contains("shards3/fig12.shard-1"),
         "mixed plans must be rejected: {err}"
+    );
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Runs `f`, turning a panic into a test failure that names `what`.
+fn no_panic<T>(what: &str, f: impl FnOnce() -> T) -> T {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+        .unwrap_or_else(|_| panic!("{what} panicked instead of returning an error"))
+}
+
+#[test]
+fn every_truncated_plan_and_journal_prefix_fails_naming_the_file() {
+    let (root, journals) = fig12_journals();
+    let cut = root.join("cut");
+    std::fs::create_dir_all(&cut).unwrap();
+
+    // Plans: every strict prefix of the JSON text is refused before
+    // anything runs, naming the plan file.
+    let plan_text = std::fs::read(root.join("shards/fig12.shard-0.json")).unwrap();
+    let plan_json = plan_text.trim_ascii_end();
+    let plan = cut.join("fig12.shard-0.json");
+    for n in 0..plan_json.len() {
+        std::fs::write(&plan, &plan_json[..n]).unwrap();
+        let what = format!("plan prefix of {n} bytes");
+        let err = no_panic(&what, || shard::run_shard(&plan, false, false))
+            .expect_err(&format!("{what} ran"));
+        assert!(err.contains(&plan.display().to_string()), "{what}: {err}");
+    }
+    assert!(!shard::journal_path(&plan).exists(), "no prefix ran a cell");
+
+    // Journals: every strict prefix either names the journal or, when
+    // the cut falls on a line boundary, lists the grid cells it lacks.
+    let journal_text = std::fs::read(&journals[0]).unwrap();
+    let journal = cut.join("fig12.shard-0.cells.jsonl");
+    for n in 0..journal_text.len() {
+        let prefix = &journal_text[..n];
+        std::fs::write(&journal, prefix).unwrap();
+        let what = format!("journal prefix of {n} bytes");
+        let inputs = [journal.clone(), journals[1].clone()];
+        let err =
+            no_panic(&what, || shard::merge(&inputs, &root)).expect_err(&format!("{what} merged"));
+        let names_file = err.contains(&journal.display().to_string());
+        let lists_cells =
+            prefix.ends_with(b"\n") && err.contains("missing from the provided journals");
+        assert!(names_file || lists_cells, "{what}: {err}");
+    }
+    assert!(
+        !root.join("BENCH_fig12.json").exists(),
+        "no prefix produced a report"
     );
     let _ = std::fs::remove_dir_all(&root);
 }
