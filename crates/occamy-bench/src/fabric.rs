@@ -1,24 +1,25 @@
-//! The topology-generic fabric scenario behind declarative specs: one
-//! builder that runs the paper's workload mix (web-search / all-to-all /
-//! all-reduce / permutation background plus incast queries) over a
-//! leaf-spine, fat-tree or 3-tier fabric with an oversubscription knob.
+//! The one fabric scenario builder: the paper's workload mix
+//! (web-search / all-to-all / all-reduce / permutation background plus
+//! incast queries) over a leaf-spine, fat-tree or 3-tier fabric with an
+//! oversubscription knob.
 //!
-//! [`FabricScenario`] is the compile target of `occamy-spec` documents
-//! (see [`crate::spec_scenario`]): the spec front-end binds `[topology]`,
-//! `[traffic]` and `[schemes]` sections onto this struct, the grid axes
-//! mutate its knobs per cell, and the run path is byte-identical to the
-//! hand-coded figures — a leaf-spine spec delegates to
-//! [`LeafSpineScenario`] so a spec that recreates a registry scenario
-//! reproduces its tables bit-for-bit.
+//! [`FabricScenario`] runs the §6.4 figures (fig07, fig17–fig23 start
+//! from [`FabricScenario::paper_leaf_spine`]), the transport baseline
+//! and every `occamy-spec` document (see [`crate::spec_scenario`]): the
+//! spec front-end binds `[topology]`, `[traffic]` and `[schemes]`
+//! sections onto this struct and the grid axes mutate its knobs per
+//! cell. Because a spec and a figure run the same builder, a spec that
+//! recreates a registry scenario's grid reproduces its tables
+//! bit-for-bit.
 
 use crate::report::{aggregate, IdealFct, RunResult};
 use crate::scenario::Scale;
-use crate::scenarios::{inject_fabric_workload, BgPattern, LeafSpineScenario};
+use crate::scenarios::{inject_fabric_workload, BgPattern};
 use occamy_core::{BmKind, BmTuning};
 use occamy_sim::topology::{
     fat_tree, leaf_spine, three_tier, BmSpec, FatTreeCfg, LeafSpineCfg, SchedKind, ThreeTierCfg,
 };
-use occamy_sim::{FaultSchedule, Ps, SimConfig, World, XpSched, MS};
+use occamy_sim::{FaultSchedule, Ps, SimConfig, World, XpSched, MS, US};
 
 /// The fabric shape a [`FabricScenario`] runs on.
 #[derive(Debug, Clone)]
@@ -82,9 +83,8 @@ impl FabricTopo {
     }
 }
 
-/// A workload run over an arbitrary fabric topology: the spec-driven
-/// generalization of [`LeafSpineScenario`], sharing its injection logic,
-/// ideal-FCT model and aggregation.
+/// A workload run over an arbitrary fabric topology: build, inject
+/// ([`inject_fabric_workload`]), apply faults, run and aggregate.
 #[derive(Debug, Clone)]
 pub struct FabricScenario {
     /// Fabric shape.
@@ -137,33 +137,51 @@ pub struct FabricScenario {
 }
 
 impl FabricScenario {
-    /// The paper-scaled defaults of [`LeafSpineScenario::paper_scaled`],
-    /// lifted onto `topo`: 25 Gbps links, 1 MB per 8 ports, ECN K
-    /// 180 KB, min RTO 5 ms, web-search background at 90%, fan-out 16,
-    /// 400 queries/s/host over 15 ms (+100 ms drain).
+    /// The paper's §6.4 defaults, dimension-scaled from 128 × 100 G to
+    /// 25 G hosts and lifted onto `topo`, keeping every ratio that
+    /// drives the result: a non-blocking fabric (leaf↔spine links at the
+    /// host rate), 10 µs per link, 1 MB per 8 ports (5 KB/port/Gbps,
+    /// about Tomahawk's 5.12), ECN K = 0.72 BDP = 180 KB, min RTO 5 ms,
+    /// web-search background at 90%, fan-out 16, queries of 40% of a
+    /// partition buffer at 400 queries/s/host, over 15 ms (+100 ms
+    /// drain).
     pub fn paper_scaled(topo: FabricTopo, bm: BmKind, alpha: f64) -> Self {
-        let ls = LeafSpineScenario::paper_scaled(bm, alpha);
         FabricScenario {
             topo,
             bm,
             alpha,
             tuning: BmTuning::default(),
-            host_rate_bps: ls.link_rate_bps,
-            fabric_rate_bps: ls.fabric_rate_bps,
+            host_rate_bps: 25_000_000_000,
+            fabric_rate_bps: 25_000_000_000,
             oversubscription: 1.0,
-            link_prop_ps: ls.link_prop_ps,
-            buffer_per_8ports: ls.buffer_per_8ports,
-            bg: ls.bg,
-            query_bytes: ls.query_bytes,
-            query_fanout: ls.query_fanout,
-            qps_per_host: ls.qps_per_host,
-            duration_ps: ls.duration_ps,
-            drain_ps: ls.drain_ps,
-            seed: ls.seed,
-            sim: ls.sim,
+            link_prop_ps: 10 * US,
+            buffer_per_8ports: 1_000_000,
+            bg: BgPattern::WebSearch { load: 0.9 },
+            query_bytes: 400_000,
+            query_fanout: 16,
+            qps_per_host: 400.0,
+            duration_ps: 15 * MS,
+            drain_ps: 100 * MS,
+            seed: 1,
+            sim: SimConfig {
+                ecn_k_bytes: 180_000,
+                min_rto: 5 * MS,
+                ..SimConfig::default()
+            },
             faults: FaultSchedule::default(),
             crosspoint: None,
         }
+    }
+
+    /// The §6.4 fabric of Figs. 7 and 17–23: [`Self::paper_scaled`] on a
+    /// 4-spine × 4-leaf × 8-host leaf-spine (32 hosts, 80 µs base RTT).
+    pub fn paper_leaf_spine(bm: BmKind, alpha: f64) -> Self {
+        let topo = FabricTopo::LeafSpine {
+            spines: 4,
+            leaves: 4,
+            hosts_per_leaf: 8,
+        };
+        FabricScenario::paper_scaled(topo, bm, alpha)
     }
 
     /// Host count.
@@ -184,8 +202,8 @@ impl FabricScenario {
     }
 
     /// Ideal-FCT model: base RTT = 2 × longest path × per-link
-    /// propagation, access-link bottleneck (the leaf-spine instance of
-    /// this formula is the 80 µs the figures use).
+    /// propagation (80 µs on the paper leaf-spine), access-link
+    /// bottleneck.
     pub fn ideal(&self) -> IdealFct {
         IdealFct {
             base_rtt_ps: 2 * self.topo.max_path_links() * self.link_prop_ps,
@@ -194,59 +212,14 @@ impl FabricScenario {
         }
     }
 
-    /// The equivalent [`LeafSpineScenario`] when the topology is
-    /// leaf-spine (the delegation that keeps spec runs bit-identical to
-    /// the hand-coded figures).
-    fn as_leaf_spine(&self) -> Option<LeafSpineScenario> {
-        // Crosspoint worlds never delegate: the hand-coded scenario is
-        // shared-memory only, so they take the generic build path below.
-        if self.crosspoint.is_some() {
-            return None;
-        }
-        let FabricTopo::LeafSpine {
-            spines,
-            leaves,
-            hosts_per_leaf,
-        } = self.topo
-        else {
-            return None;
-        };
-        Some(LeafSpineScenario {
-            bm: self.bm,
-            alpha: self.alpha,
-            tuning: self.tuning,
-            spines,
-            leaves,
-            hosts_per_leaf,
-            link_rate_bps: self.host_rate_bps,
-            fabric_rate_bps: self.effective_fabric_rate_bps(),
-            link_prop_ps: self.link_prop_ps,
-            buffer_per_8ports: self.buffer_per_8ports,
-            bg: self.bg.clone(),
-            query_bytes: self.query_bytes,
-            query_fanout: self.query_fanout,
-            qps_per_host: self.qps_per_host,
-            duration_ps: self.duration_ps,
-            drain_ps: self.drain_ps,
-            seed: self.seed,
-            sim: self.sim.clone(),
-            faults: self.faults.clone(),
-        })
-    }
-
     /// Builds the world without workload.
     pub fn build(&self) -> World {
-        if let Some(ls) = self.as_leaf_spine() {
-            return ls.build();
-        }
         let bm = BmSpec {
             kind: self.bm,
             alpha_per_class: vec![self.alpha],
             tuning: self.tuning,
         };
         let mut world = match self.topo {
-            // Reached only for crosspoint worlds; shared-memory
-            // leaf-spine delegates to the hand-coded scenario above.
             FabricTopo::LeafSpine {
                 spines,
                 leaves,
@@ -306,9 +279,6 @@ impl FabricScenario {
 
     /// Builds, injects, runs and aggregates, also returning the world.
     pub fn run_world(&self) -> (World, RunResult) {
-        if let Some(ls) = self.as_leaf_spine() {
-            return ls.run_world();
-        }
         let mut world = self.build();
         crate::apply_sim_threads(&mut world);
         inject_fabric_workload(
@@ -341,10 +311,11 @@ impl FabricScenario {
     }
 }
 
-/// Applies the shared duration/rate reductions to a fabric scenario —
-/// the [`crate::figs::scale_leaf_spine`] recipe, but monotone: reduced
-/// scales only ever *shorten* a spec's windows, so a spec that already
-/// describes a seconds-scale run keeps its own durations.
+/// Applies the `--quick` / `--smoke` duration and rate reductions to a
+/// fabric scenario. Monotone: reduced scales only ever *shorten* the
+/// windows, so a spec that already describes a short run keeps its own
+/// durations. From [`FabricScenario::paper_scaled`]'s 15 ms / 100 ms,
+/// Quick runs 10 ms / 60 ms and Smoke 3 ms / 40 ms at 4× the query rate.
 pub fn scale_fabric(sc: &mut FabricScenario, scale: Scale) {
     match scale {
         Scale::Full => {}
@@ -363,53 +334,28 @@ pub fn scale_fabric(sc: &mut FabricScenario, scale: Scale) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use occamy_sim::US;
-
-    fn paper_topo() -> FabricTopo {
-        FabricTopo::LeafSpine {
-            spines: 4,
-            leaves: 4,
-            hosts_per_leaf: 8,
-        }
-    }
 
     #[test]
-    fn leaf_spine_delegation_matches_hand_coded_scenario() {
-        // The fabric path and the figure path must be the same
-        // simulation: identical worlds, identical results.
-        let mut fabric = FabricScenario::paper_scaled(paper_topo(), BmKind::Dt, 1.0);
-        fabric.duration_ps = 2 * MS;
-        fabric.drain_ps = 20 * MS;
-        fabric.qps_per_host *= 4.0;
-        let mut ls = LeafSpineScenario::paper_scaled(BmKind::Dt, 1.0);
-        ls.duration_ps = 2 * MS;
-        ls.drain_ps = 20 * MS;
-        ls.qps_per_host *= 4.0;
-        let a = fabric.run();
-        let b = ls.run();
-        assert_eq!(a.qct_ms.mean(), b.qct_ms.mean());
-        assert_eq!(a.losses, b.losses);
-        assert_eq!(a.events, b.events);
+    fn leaf_spine_scaled_preserves_ratios() {
+        let s = FabricScenario::paper_leaf_spine(BmKind::Occamy, 8.0);
+        // ~5 KB per port per Gbps, about the paper's Tomahawk 5.12.
+        let per_port_per_gbps = s.buffer_per_8ports as f64 / 8.0 / (s.host_rate_bps as f64 / 1e9);
+        assert!((per_port_per_gbps - 5_000.0).abs() < 150.0);
+        // ECN K = 0.72 BDP.
+        let rtt_s = s.ideal().base_rtt_ps as f64 / 1e12;
+        let bdp = s.host_rate_bps as f64 * rtt_s / 8.0;
+        assert!((s.sim.ecn_k_bytes as f64 / bdp - 0.72).abs() < 0.01);
+        assert_eq!(s.n_hosts(), 32);
     }
 
     #[test]
     fn ideal_rtt_matches_topology_depth() {
-        let f = FabricScenario::paper_scaled(paper_topo(), BmKind::Dt, 1.0);
+        let mut f = FabricScenario::paper_leaf_spine(BmKind::Dt, 1.0);
         assert_eq!(f.ideal().base_rtt_ps, 80 * US); // the figures' 80 µs
+        f.link_prop_ps = 5 * US;
+        assert_eq!(f.ideal().base_rtt_ps, 40 * US);
         let ft = FabricScenario::paper_scaled(FabricTopo::FatTree { k: 4 }, BmKind::Dt, 1.0);
         assert_eq!(ft.ideal().base_rtt_ps, 120 * US);
-    }
-
-    #[test]
-    fn delegated_leaf_spine_ideal_rtt_follows_link_propagation() {
-        // Shared-memory schemes normalise against the delegated
-        // LeafSpineScenario's model, crosspoint against the fabric's;
-        // the two must agree at any propagation delay.
-        let mut f = FabricScenario::paper_scaled(paper_topo(), BmKind::Dt, 1.0);
-        f.link_prop_ps = 5 * US;
-        let ls = f.as_leaf_spine().unwrap();
-        assert_eq!(ls.ideal().base_rtt_ps, f.ideal().base_rtt_ps);
-        assert_eq!(f.ideal().base_rtt_ps, 40 * US);
     }
 
     #[test]
@@ -448,13 +394,13 @@ mod tests {
 
     #[test]
     fn scale_fabric_only_shrinks() {
-        let mut f = FabricScenario::paper_scaled(paper_topo(), BmKind::Dt, 1.0);
+        let mut f = FabricScenario::paper_leaf_spine(BmKind::Dt, 1.0);
         f.duration_ps = 2 * MS; // already shorter than the smoke preset
         f.drain_ps = 10 * MS;
         scale_fabric(&mut f, Scale::Smoke);
         assert_eq!(f.duration_ps, 2 * MS);
         assert_eq!(f.drain_ps, 10 * MS);
-        let mut g = FabricScenario::paper_scaled(paper_topo(), BmKind::Dt, 1.0);
+        let mut g = FabricScenario::paper_leaf_spine(BmKind::Dt, 1.0);
         scale_fabric(&mut g, Scale::Quick);
         assert_eq!(g.duration_ps, 10 * MS);
         assert_eq!(g.drain_ps, 60 * MS);

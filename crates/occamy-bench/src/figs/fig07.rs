@@ -12,11 +12,11 @@
 //! The (α = 0.5, load = 40%) operating point appears in both panels, so
 //! the grid enumerates the four distinct simulations explicitly.
 
-use crate::figs::scale_leaf_spine;
+use crate::fabric::{scale_fabric, FabricScenario};
 use crate::scenario::{
     explicit_grid, find, CellOutcome, CellResult, CellSpec, Report, Scale, Scenario, Value,
 };
-use crate::scenarios::{BgPattern, LeafSpineScenario};
+use crate::scenarios::BgPattern;
 use occamy_core::BmKind;
 use occamy_stats::{Cdf, Table};
 
@@ -58,13 +58,13 @@ impl Scenario for Fig07 {
     }
 
     fn run(&self, cell: &CellSpec) -> CellResult {
-        let mut sc = LeafSpineScenario::paper_scaled(BmKind::Dt, cell.f64("alpha"));
+        let mut sc = FabricScenario::paper_leaf_spine(BmKind::Dt, cell.f64("alpha"));
         sc.bg = BgPattern::WebSearch {
             load: cell.f64("load"),
         };
         sc.qps_per_host = 0.0; // background only, as in §3.1
         sc.seed = cell.seed;
-        scale_leaf_spine(&mut sc, cell.scale);
+        scale_fabric(&mut sc, cell.scale);
         let (world, _) = sc.run_world();
         let mut result = CellResult::new()
             .metric("drops", world.metrics.drop_buffer_util.len() as f64)

@@ -10,11 +10,11 @@
 //! and ~36% vs ABM, tracks Pushout closely, and also helps background
 //! flows (up to ~20% on average FCT, ~32% on small-flow p99).
 
-use crate::figs::scale_leaf_spine;
+use crate::fabric::{scale_fabric, FabricScenario};
 use crate::scenario::{
     find, matrix_table, CellOutcome, CellResult, CellSpec, Grid, Report, Scale, Scenario, Value,
 };
-use crate::scenarios::{evaluated_scheme_names, scheme_by_name, LeafSpineScenario};
+use crate::scenarios::{evaluated_scheme_names, scheme_by_name};
 
 /// Registry entry for paper Fig. 17.
 pub struct Fig17;
@@ -42,10 +42,10 @@ impl Scenario for Fig17 {
 
     fn run(&self, cell: &CellSpec) -> CellResult {
         let (kind, alpha) = scheme_by_name(cell.str("scheme")).expect("evaluated scheme");
-        let mut sc = LeafSpineScenario::paper_scaled(kind, alpha);
+        let mut sc = FabricScenario::paper_leaf_spine(kind, alpha);
         sc.query_bytes = sc.buffer_per_8ports * cell.u64("query_pct_buffer") / 100;
         sc.seed = cell.seed;
-        scale_leaf_spine(&mut sc, cell.scale);
+        scale_fabric(&mut sc, cell.scale);
         sc.run().into_cell()
     }
 

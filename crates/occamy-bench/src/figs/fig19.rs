@@ -8,11 +8,11 @@
 //! Paper shape: Occamy improves average QCT by up to ~48% and p99
 //! background FCT by up to ~73% versus DT.
 
-use crate::figs::scale_leaf_spine;
+use crate::fabric::{scale_fabric, FabricScenario};
 use crate::scenario::{
     matrix_table, CellOutcome, CellResult, CellSpec, Grid, Report, Scale, Scenario,
 };
-use crate::scenarios::{evaluated_scheme_names, scheme_by_name, BgPattern, LeafSpineScenario};
+use crate::scenarios::{evaluated_scheme_names, scheme_by_name, BgPattern};
 
 /// Registry entry for paper Fig. 19.
 pub struct Fig19;
@@ -40,14 +40,14 @@ impl Scenario for Fig19 {
 
     fn run(&self, cell: &CellSpec) -> CellResult {
         let (kind, alpha) = scheme_by_name(cell.str("scheme")).expect("evaluated scheme");
-        let mut sc = LeafSpineScenario::paper_scaled(kind, alpha);
+        let mut sc = FabricScenario::paper_leaf_spine(kind, alpha);
         sc.bg = BgPattern::AllReduce {
             flow_bytes: cell.u64("flow_size"),
             load: 0.4,
         };
         sc.query_bytes = sc.buffer_per_8ports * 40 / 100;
         sc.seed = cell.seed;
-        scale_leaf_spine(&mut sc, cell.scale);
+        scale_fabric(&mut sc, cell.scale);
         sc.run().into_cell()
     }
 

@@ -9,11 +9,11 @@
 //! inefficiency is most pronounced with few active ports); background
 //! FCT is barely affected by the BM choice.
 
-use crate::figs::scale_leaf_spine;
+use crate::fabric::{scale_fabric, FabricScenario};
 use crate::scenario::{
     matrix_table, CellOutcome, CellResult, CellSpec, Grid, Report, Scale, Scenario,
 };
-use crate::scenarios::{evaluated_scheme_names, scheme_by_name, BgPattern, LeafSpineScenario};
+use crate::scenarios::{evaluated_scheme_names, scheme_by_name, BgPattern};
 
 /// Registry entry for paper Fig. 20.
 pub struct Fig20;
@@ -41,19 +41,19 @@ impl Scenario for Fig20 {
 
     fn run(&self, cell: &CellSpec) -> CellResult {
         let (kind, alpha) = scheme_by_name(cell.str("scheme")).expect("evaluated scheme");
-        let mut sc = LeafSpineScenario::paper_scaled(kind, alpha);
+        let mut sc = FabricScenario::paper_leaf_spine(kind, alpha);
         sc.bg = BgPattern::WebSearch { load: 0.1 };
         sc.query_bytes = sc.buffer_per_8ports * 80 / 100;
         // Load = qps × size × oversubscription / link rate (paper's
         // footnote 5); our fabric has the same 2:1 oversubscription.
         let oversub = 2.0;
-        sc.qps_per_host = cell.u64("query_load_pct") as f64 / 100.0 * sc.link_rate_bps as f64
+        sc.qps_per_host = cell.u64("query_load_pct") as f64 / 100.0 * sc.host_rate_bps as f64
             / (8.0 * sc.query_bytes as f64 * oversub);
         sc.seed = cell.seed;
         // Smoke's query-rate boost is skipped here: the sweep already
         // sets the rate explicitly.
         let qps = sc.qps_per_host;
-        scale_leaf_spine(&mut sc, cell.scale);
+        scale_fabric(&mut sc, cell.scale);
         sc.qps_per_host = qps;
         sc.run().into_cell()
     }

@@ -9,11 +9,11 @@
 //! Paper shape: the difference is small — within ~15% on average QCT and
 //! within ~8.8% on average FCT — justifying the cheap RR arbiter.
 
-use crate::figs::scale_leaf_spine;
+use crate::fabric::{scale_fabric, FabricScenario};
 use crate::scenario::{
     distinct, find, CellOutcome, CellResult, CellSpec, Grid, Report, Scale, Scenario, Value,
 };
-use crate::scenarios::{bm_kind_by_name, BgPattern, LeafSpineScenario};
+use crate::scenarios::{bm_kind_by_name, BgPattern};
 use occamy_stats::Table;
 
 /// Registry entry for paper Fig. 21.
@@ -42,11 +42,11 @@ impl Scenario for Fig21 {
 
     fn run(&self, cell: &CellSpec) -> CellResult {
         let kind = bm_kind_by_name(cell.str("variant")).expect("known variant");
-        let mut sc = LeafSpineScenario::paper_scaled(kind, 8.0);
+        let mut sc = FabricScenario::paper_leaf_spine(kind, 8.0);
         sc.bg = BgPattern::WebSearch { load: 0.4 };
         sc.query_bytes = sc.buffer_per_8ports * cell.u64("query_pct_buffer") / 100;
         sc.seed = cell.seed;
-        scale_leaf_spine(&mut sc, cell.scale);
+        scale_fabric(&mut sc, cell.scale);
         sc.run().into_cell()
     }
 

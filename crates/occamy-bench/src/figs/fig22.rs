@@ -5,11 +5,11 @@
 //! congestion is unbalanced in practice (incast congests down-links while
 //! up-links idle), so spare bandwidth remains and Occamy still wins.
 
-use crate::figs::scale_leaf_spine;
+use crate::fabric::{scale_fabric, FabricScenario};
 use crate::scenario::{
     matrix_table, CellOutcome, CellResult, CellSpec, Grid, Report, Scale, Scenario,
 };
-use crate::scenarios::{evaluated_scheme_names, scheme_by_name, BgPattern, LeafSpineScenario};
+use crate::scenarios::{evaluated_scheme_names, scheme_by_name, BgPattern};
 
 /// Registry entry for paper Fig. 22.
 pub struct Fig22;
@@ -37,11 +37,11 @@ impl Scenario for Fig22 {
 
     fn run(&self, cell: &CellSpec) -> CellResult {
         let (kind, alpha) = scheme_by_name(cell.str("scheme")).expect("evaluated scheme");
-        let mut sc = LeafSpineScenario::paper_scaled(kind, alpha);
+        let mut sc = FabricScenario::paper_leaf_spine(kind, alpha);
         sc.bg = BgPattern::WebSearch { load: 1.2 };
         sc.query_bytes = sc.buffer_per_8ports * cell.u64("query_pct_buffer") / 100;
         sc.seed = cell.seed;
-        scale_leaf_spine(&mut sc, cell.scale);
+        scale_fabric(&mut sc, cell.scale);
         sc.run().into_cell()
     }
 

@@ -7,11 +7,11 @@
 //! Paper shape: Occamy keeps a consistent advantage over DT across the
 //! whole range (~37% better average QCT at 3.44 KB, ~40% at 9.6 KB).
 
-use crate::figs::scale_leaf_spine;
+use crate::fabric::{scale_fabric, FabricScenario};
 use crate::scenario::{
     matrix_table, CellOutcome, CellResult, CellSpec, Grid, Report, Scale, Scenario,
 };
-use crate::scenarios::{evaluated_scheme_names, scheme_by_name, BgPattern, LeafSpineScenario};
+use crate::scenarios::{evaluated_scheme_names, scheme_by_name, BgPattern};
 
 /// Registry entry for paper Fig. 23.
 pub struct Fig23;
@@ -40,14 +40,14 @@ impl Scenario for Fig23 {
 
     fn run(&self, cell: &CellSpec) -> CellResult {
         let (kind, alpha) = scheme_by_name(cell.str("scheme")).expect("evaluated scheme");
-        let mut sc = LeafSpineScenario::paper_scaled(kind, alpha);
+        let mut sc = FabricScenario::paper_leaf_spine(kind, alpha);
         sc.bg = BgPattern::WebSearch { load: 0.4 };
         // Buffer per 8 ports = 8 × rate_Gbps × KB-per-port-per-Gbps.
-        let gbps = sc.link_rate_bps as f64 / 1e9;
+        let gbps = sc.host_rate_bps as f64 / 1e9;
         sc.buffer_per_8ports = (8.0 * gbps * cell.f64("KB_per_port_per_Gbps") * 1_000.0) as u64;
         sc.query_bytes = sc.buffer_per_8ports * 40 / 100;
         sc.seed = cell.seed;
-        scale_leaf_spine(&mut sc, cell.scale);
+        scale_fabric(&mut sc, cell.scale);
         sc.run().into_cell()
     }
 

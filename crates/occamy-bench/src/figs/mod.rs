@@ -4,7 +4,7 @@
 //! that rebuilds the tables the original per-figure binaries printed.
 
 use crate::scenario::Scale;
-use crate::scenarios::{LeafSpineScenario, TestbedScenario};
+use crate::scenarios::TestbedScenario;
 use occamy_sim::MS;
 
 /// Applies the shared duration/rate reductions for the DPDK testbed
@@ -23,22 +23,6 @@ pub(crate) fn scale_testbed(sc: &mut TestbedScenario, scale: Scale) {
             sc.duration_ps = 30 * MS;
             sc.drain_ps = 200 * MS;
             sc.qps_per_host *= 20.0;
-        }
-    }
-}
-
-/// The leaf-spine counterpart of [`scale_testbed`].
-pub(crate) fn scale_leaf_spine(sc: &mut LeafSpineScenario, scale: Scale) {
-    match scale {
-        Scale::Full => {}
-        Scale::Quick => {
-            sc.duration_ps = 10 * MS;
-            sc.drain_ps = 60 * MS;
-        }
-        Scale::Smoke => {
-            sc.duration_ps = 3 * MS;
-            sc.drain_ps = 40 * MS;
-            sc.qps_per_host *= 4.0;
         }
     }
 }

@@ -15,13 +15,15 @@
 //! - [`scenarios`] — the reusable testbed builders behind the grids:
 //!   [`scenarios::TestbedScenario`] (the 8-host / 10 Gbps / 410 KB DPDK
 //!   software-switch setup of §6.2, Figs. 13–16, and the §3.1 motivation
-//!   testbed of Fig. 6), [`scenarios::LeafSpineScenario`] (the §6.4
-//!   fabric of Figs. 7, 17–23, dimension-scaled to keep each data point
-//!   seconds of wall clock) and [`scenarios::CbrTestbed`] (the Tofino
-//!   CBR micro-testbed of Figs. 3, 11, 12);
+//!   testbed of Fig. 6) and [`scenarios::CbrTestbed`] (the Tofino CBR
+//!   micro-testbed of Figs. 3, 11, 12), plus the fabric workload
+//!   injector [`scenarios::inject_fabric_workload`];
 //! - [`report`] — ideal-FCT model and result aggregation;
-//! - [`fabric`] — the topology-generic [`fabric::FabricScenario`]
+//! - [`fabric`] — [`fabric::FabricScenario`], the one fabric builder
 //!   (leaf-spine / fat-tree / 3-tier with an oversubscription knob);
+//!   [`fabric::FabricScenario::paper_leaf_spine`] is the §6.4 fabric of
+//!   Figs. 7, 17–23, dimension-scaled to keep each data point seconds of
+//!   wall clock;
 //! - [`spec_scenario`] — compiles declarative `occamy-spec` documents
 //!   (`occamy-bench run --spec file.toml`) into registry-compatible
 //!   scenarios over `FabricScenario`;

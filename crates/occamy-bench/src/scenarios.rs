@@ -1,11 +1,9 @@
 //! Scenario builders shared by the figure binaries.
 
 use crate::report::{aggregate, IdealFct, RunResult};
-use occamy_core::{BmKind, BmTuning};
-use occamy_sim::topology::{
-    leaf_spine, single_switch, BmSpec, LeafSpineCfg, SchedKind, SingleSwitchCfg,
-};
-use occamy_sim::{CcAlgo, FaultSchedule, FlowDesc, Ps, SimConfig, World, MS, US};
+use occamy_core::BmKind;
+use occamy_sim::topology::{single_switch, BmSpec, SchedKind, SingleSwitchCfg};
+use occamy_sim::{CcAlgo, FlowDesc, Ps, SimConfig, World, MS, US};
 use occamy_traffic::{web_search, BackgroundWorkload, FlowSpec, QueryWorkload, TrafficClass};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -230,175 +228,14 @@ impl TestbedScenario {
 }
 
 // -------------------------------------------------------------------
-// Leaf-spine fabric (paper §6.4, Figs. 7, 17–23)
+// Fabric workload (paper §6.4, Figs. 7, 17–23; see `crate::fabric`)
 // -------------------------------------------------------------------
 
-/// The large-scale leaf-spine scenario, dimension-scaled from the
-/// paper's 128 × 100 G to 32 × 25 G (see `EXPERIMENTS.md`): all
-/// *ratios* that drive the result — buffer per port per Gbps, ECN
-/// threshold at 0.72 BDP, query size as a fraction of partition buffer,
-/// loads — are preserved.
-#[derive(Debug, Clone)]
-pub struct LeafSpineScenario {
-    /// Buffer-management scheme.
-    pub bm: BmKind,
-    /// DT/Occamy/ABM `α`.
-    pub alpha: f64,
-    /// Scheme-specific tuning (BShare delay target, DAMQ reserve
-    /// split); the default reproduces each scheme's paper constants.
-    pub tuning: BmTuning,
-    /// Spine count.
-    pub spines: usize,
-    /// Leaf count.
-    pub leaves: usize,
-    /// Hosts per leaf.
-    pub hosts_per_leaf: usize,
-    /// Host access-link rate.
-    pub link_rate_bps: u64,
-    /// Leaf↔spine link rate (the paper's fabric is non-blocking:
-    /// `paper_scaled` sets it equal to the host rate).
-    pub fabric_rate_bps: u64,
-    /// One-way propagation per link.
-    pub link_prop_ps: Ps,
-    /// Shared buffer per 8 ports.
-    pub buffer_per_8ports: u64,
-    /// Background traffic.
-    pub bg: BgPattern,
-    /// Total response bytes per query.
-    pub query_bytes: u64,
-    /// Incast fan-out per query.
-    pub query_fanout: usize,
-    /// Queries per second per client host.
-    pub qps_per_host: f64,
-    /// Workload injection window.
-    pub duration_ps: Ps,
-    /// Extra time to let tails finish.
-    pub drain_ps: Ps,
-    /// RNG seed.
-    pub seed: u64,
-    /// Simulation parameters.
-    pub sim: SimConfig,
-    /// Deterministic fault schedule (times as fractions of
-    /// `duration_ps`). Empty by default.
-    pub faults: FaultSchedule,
-}
-
-impl LeafSpineScenario {
-    /// Scaled §6.4 defaults: 4 spines × 4 leaves × 8 hosts at 25 Gbps,
-    /// 1 MB per 8 ports (the same 5.12 KB/port/Gbps as Tomahawk), ECN
-    /// K = 0.72 BDP = 180 KB, min RTO 5 ms, 80 µs base RTT, fan-out 16,
-    /// 200 queries/s/host, query = 40% of partition buffer, web-search
-    /// background at 90%.
-    pub fn paper_scaled(bm: BmKind, alpha: f64) -> Self {
-        LeafSpineScenario {
-            bm,
-            alpha,
-            tuning: BmTuning::default(),
-            spines: 4,
-            leaves: 4,
-            hosts_per_leaf: 8,
-            link_rate_bps: 25_000_000_000,
-            fabric_rate_bps: 25_000_000_000,
-            link_prop_ps: 10 * US,
-            buffer_per_8ports: 1_000_000,
-            bg: BgPattern::WebSearch { load: 0.9 },
-            query_bytes: 400_000,
-            query_fanout: 16,
-            qps_per_host: 400.0,
-            duration_ps: 15 * MS,
-            drain_ps: 100 * MS,
-            seed: 1,
-            sim: SimConfig {
-                ecn_k_bytes: 180_000,
-                min_rto: 5 * MS,
-                ..SimConfig::default()
-            },
-            faults: FaultSchedule::default(),
-        }
-    }
-
-    /// Host count.
-    pub fn n_hosts(&self) -> usize {
-        self.leaves * self.hosts_per_leaf
-    }
-
-    /// Ideal-FCT model: base RTT = 2 × the 4-link host-leaf-spine-leaf-
-    /// host path × per-link propagation (80 µs at the figures' 10 µs
-    /// links), access-link bottleneck.
-    pub fn ideal(&self) -> IdealFct {
-        IdealFct {
-            base_rtt_ps: 2 * 4 * self.link_prop_ps,
-            bottleneck_bps: self.link_rate_bps,
-            mss: self.sim.mss as u64,
-        }
-    }
-
-    /// Builds the world without workload.
-    pub fn build(&self) -> World {
-        leaf_spine(LeafSpineCfg {
-            spines: self.spines,
-            leaves: self.leaves,
-            hosts_per_leaf: self.hosts_per_leaf,
-            host_rate_bps: self.link_rate_bps,
-            fabric_rate_bps: self.fabric_rate_bps,
-            link_prop_ps: self.link_prop_ps,
-            buffer_per_8ports_bytes: self.buffer_per_8ports,
-            classes: 1,
-            bm: BmSpec {
-                kind: self.bm,
-                alpha_per_class: vec![self.alpha],
-                tuning: self.tuning,
-            },
-            sched: SchedKind::Fifo,
-            sim: self.sim.clone(),
-        })
-    }
-
-    /// Injects background and query traffic.
-    pub fn inject(&self, world: &mut World) {
-        inject_fabric_workload(
-            world,
-            self.n_hosts(),
-            self.link_rate_bps,
-            &self.bg,
-            self.query_bytes,
-            self.query_fanout,
-            self.qps_per_host,
-            self.duration_ps,
-            self.seed,
-        );
-    }
-
-    /// Builds, injects, runs and aggregates.
-    pub fn run(&self) -> RunResult {
-        let (_, r) = self.run_world();
-        r
-    }
-
-    /// Like [`LeafSpineScenario::run`] but also returns the world.
-    pub fn run_world(&self) -> (World, RunResult) {
-        let mut world = self.build();
-        crate::apply_sim_threads(&mut world);
-        self.inject(&mut world);
-        self.faults.apply(&mut world, self.duration_ps);
-        world.run_to_completion(self.duration_ps + self.drain_ps);
-        let flows = world.flow_records();
-        let result = aggregate(
-            &flows,
-            self.ideal(),
-            world.metrics.drops.total_losses(),
-            world.metrics.events_processed,
-        )
-        .with_resilience(&world);
-        (world, result)
-    }
-}
-
 /// Injects one fabric workload — a background pattern plus the incast
-/// query process — into `world`. Shared by [`LeafSpineScenario`] and
-/// [`crate::fabric::FabricScenario`] so a declarative spec run over a
-/// fat-tree draws exactly the same flow sequence a hand-coded leaf-spine
-/// figure would (byte-for-byte reproducibility across topologies).
+/// query process — into `world`: the injection step of
+/// [`crate::fabric::FabricScenario::run_world`] on every topology, so
+/// fabrics with the same host count, rate and seed draw the same flow
+/// sequence. Public so a caller can time set-up apart from the run.
 ///
 /// RNG draw order is part of the contract: background flows first, then
 /// queries over `[warmup, duration)` with `warmup = duration / 10`.
@@ -598,18 +435,6 @@ mod tests {
         let s = TestbedScenario::paper_dpdk(BmKind::Dt, 1.0).with_query_bytes(82_000);
         let load = s.qps_per_host * 82_000.0 * 8.0 / 10e9;
         assert!((load - 0.01).abs() < 1e-6);
-    }
-
-    #[test]
-    fn leaf_spine_scaled_preserves_ratios() {
-        let s = LeafSpineScenario::paper_scaled(BmKind::Occamy, 8.0);
-        // 5.12 KB per port per Gbps, same as the paper's Tomahawk model.
-        let per_port_per_gbps = s.buffer_per_8ports as f64 / 8.0 / (s.link_rate_bps as f64 / 1e9);
-        assert!((per_port_per_gbps - 5_000.0).abs() < 150.0);
-        // ECN K = 0.72 BDP.
-        let bdp = s.link_rate_bps as f64 * 80e-6 / 8.0;
-        assert!((s.sim.ecn_k_bytes as f64 / bdp - 0.72).abs() < 0.01);
-        assert_eq!(s.n_hosts(), 32);
     }
 
     #[test]

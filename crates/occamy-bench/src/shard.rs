@@ -47,6 +47,7 @@ use crate::scenario::{CellOutcome, CellResult, CellSpec, Scale, Scenario, Series
 use crate::spec_scenario::SpecScenario;
 use occamy_stats::Json;
 use std::collections::HashSet;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -584,8 +585,10 @@ pub fn journaled_cells(plan_path: &Path) -> usize {
 /// in memory; every append rewrites a sibling temp file and renames it
 /// over the journal, so a SIGKILL at any instant leaves either the
 /// previous complete journal or the new complete journal on disk —
-/// never a half-written last line. (Journals are small — one line per
-/// grid cell — so the rewrite cost is noise next to simulating a cell.)
+/// never a half-written last line. The temp file is synced before the
+/// rename and the directory after it, so a power loss cannot leave an
+/// empty journal either. (Journals are small — one line per grid cell —
+/// so the rewrite cost is noise next to simulating a cell.)
 struct JournalWriter {
     path: PathBuf,
     text: String,
@@ -615,14 +618,23 @@ impl JournalWriter {
         self.text.push_str(line);
         self.text.push('\n');
         let tmp = self.path.with_extension("jsonl.tmp");
+        // A bare file name has parent "", which names the working
+        // directory.
+        let dir = match self.path.parent() {
+            Some(d) if !d.as_os_str().is_empty() => d,
+            _ => Path::new("."),
+        };
         retry_with_backoff(
             &format!("journal write {}", self.path.display()),
             WRITE_ATTEMPTS,
             WRITE_BACKOFF_BASE,
             WRITE_BACKOFF_CAP,
             || {
-                std::fs::write(&tmp, &self.text)?;
-                std::fs::rename(&tmp, &self.path)
+                let mut file = std::fs::File::create(&tmp)?;
+                file.write_all(self.text.as_bytes())?;
+                file.sync_all()?;
+                std::fs::rename(&tmp, &self.path)?;
+                std::fs::File::open(dir)?.sync_all()
             },
         )
     }

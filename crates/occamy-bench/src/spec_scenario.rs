@@ -6,12 +6,11 @@
 //! registry scenarios.
 //!
 //! Cell seeds derive from the spec's `seed_key` (default: its name)
-//! through the exact derivation `Grid` uses, and the per-cell run path
-//! goes through [`FabricScenario`], whose leaf-spine arm delegates to
-//! the same `LeafSpineScenario` the figures use. Consequence: a spec
-//! whose `seed_key`, axes and knobs recreate a registry scenario's grid
-//! reproduces that scenario's tables **bit for bit** (pinned by
-//! `tests/spec_scenarios.rs`).
+//! through the exact derivation `Grid` uses, and every cell runs on
+//! [`FabricScenario`], the builder the leaf-spine figures use too.
+//! Consequence: a spec whose `seed_key`, axes and knobs recreate a
+//! registry scenario's grid reproduces that scenario's tables **bit for
+//! bit** (pinned by `tests/spec_scenarios.rs`).
 
 use crate::fabric::{scale_fabric, FabricScenario, FabricTopo};
 use crate::scenario::{

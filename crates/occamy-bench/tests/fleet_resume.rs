@@ -159,6 +159,30 @@ fn failed_journal_write_fails_the_shard() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// A plan named without a directory has an empty parent path, which the
+/// journal's directory sync must read as the working directory.
+#[test]
+fn bare_plan_name_run_from_its_directory_journals_every_cell() {
+    let root = scratch("bare");
+    freeze();
+    let source = ShardSource::from_name("fig12").unwrap();
+    let plans = shard::plan(&source, Scale::Smoke, 2, &root.join("shards")).unwrap();
+    let output = std::process::Command::new(bench_binary())
+        .args(["shard", "run", "fig12.shard-0.json", "--freeze-perf"])
+        .current_dir(root.join("shards"))
+        .output()
+        .expect("shard run spawns");
+    assert!(
+        output.status.success(),
+        "shard run from the plan directory must succeed\nstderr:\n{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    // The header plus shard 0's two cells (0 and 2 of fig12's four).
+    let journal = std::fs::read_to_string(shard::journal_path(&plans[0])).unwrap();
+    assert_eq!(journal.lines().count(), 3, "journal:\n{journal}");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 #[test]
 fn torn_journal_line_fails_naming_the_shard() {
     let root = scratch("torn");

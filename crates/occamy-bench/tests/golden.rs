@@ -1,6 +1,6 @@
 //! Golden-metric regression tracking (ROADMAP: "result regression
 //! tracking"): `golden/` holds committed smoke-scale `BENCH_<name>.json`
-//! snapshots of three stable scenarios; this test re-runs them
+//! snapshots of the four [`TRACKED`] scenarios; this test re-runs them
 //! in-process and fails when any *headline* metric drifts beyond
 //! tolerance.
 //!
@@ -13,14 +13,14 @@
 //! Regenerating after an *intentional* result change:
 //!
 //! ```text
-//! cd $(mktemp -d) && occamy-bench run fig03 fig12 fig20 --smoke --serial
-//! cp BENCH_fig03.json BENCH_fig12.json BENCH_fig20.json <repo>/golden/
+//! cd $(mktemp -d) && occamy-bench run fig03 fig12 fig20 perf_transport --smoke --serial --freeze-perf
+//! cp BENCH_fig03.json BENCH_fig12.json BENCH_fig20.json BENCH_perf_transport.json <repo>/golden/
 //! ```
 
 use occamy_bench::registry::find_scenario;
 use occamy_bench::runner::execute;
 use occamy_bench::scenario::Scale;
-use occamy_spec::Value;
+use occamy_stats::Json;
 use std::path::PathBuf;
 
 /// The tracked scenarios: one CBR micro-testbed (fig03), one CBR sweep
@@ -52,10 +52,9 @@ fn headline_metrics_match_golden_snapshots() {
         let path = golden_dir().join(format!("BENCH_{name}.json"));
         let text =
             std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        let golden =
-            occamy_spec::json::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        let golden = Json::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
         assert_eq!(
-            golden.get("scale").and_then(|v| v.as_str().ok()),
+            golden.get("scale").and_then(Json::as_str),
             Some("smoke"),
             "{name}: golden snapshots are smoke-scale"
         );
@@ -66,7 +65,7 @@ fn headline_metrics_match_golden_snapshots() {
 
         let cells = golden
             .get("results")
-            .and_then(|v| v.as_array().ok())
+            .and_then(Json::as_arr)
             .unwrap_or_else(|| panic!("{name}: golden file has no results"));
         assert_eq!(
             cells.len(),
@@ -79,7 +78,7 @@ fn headline_metrics_match_golden_snapshots() {
             // The cell identity (its seed) must match: a seed change
             // means the grid moved, not that results drifted.
             assert_eq!(
-                cell.get("seed").and_then(|v| v.as_u64().ok()),
+                cell.get("seed").and_then(Json::as_u64),
                 Some(outcome.spec.seed),
                 "{name} [{label}]: cell seed changed"
             );
@@ -87,7 +86,7 @@ fn headline_metrics_match_golden_snapshots() {
                 .get("metrics")
                 .unwrap_or_else(|| panic!("{name} [{label}]: golden cell has no metrics"));
             let entries = metrics.entries().unwrap();
-            let kept: Vec<&(String, Value)> = entries
+            let kept: Vec<&(String, Json)> = entries
                 .iter()
                 .filter(|(k, _)| !PERF_METRICS.contains(&k.as_str()))
                 .collect();

@@ -12,9 +12,10 @@
 //! same deterministic per-cell seeds and `BENCH_<name>.json` +
 //! `results/*.csv` outputs, as the hand-coded paper figures.
 //!
-//! The crate is dependency-free by design (the build environment is
-//! offline): it ships its own minimal [`toml`] and [`json`] readers
-//! over a shared order-preserving [`Value`] tree.
+//! Both formats land in one order-preserving [`Value`] tree: TOML
+//! through the crate's own minimal [`toml`] reader, JSON through the
+//! workspace's `occamy_stats::Json` reader — the crate's only
+//! dependency, itself dependency-free, so the crate builds offline.
 //!
 //! Validation is strict and typo-friendly: every identifier is checked
 //! against the known sets and a misspelling fails with a named
@@ -26,7 +27,6 @@
 
 mod emit;
 pub mod error;
-pub mod json;
 pub mod model;
 pub mod suggest;
 pub mod toml;
@@ -41,14 +41,58 @@ pub use model::{
 };
 pub use value::Value;
 
+use occamy_stats::Json;
+
 /// Parses a TOML spec into a validated [`SpecDoc`].
 pub fn spec_from_toml(text: &str) -> Result<SpecDoc> {
     SpecDoc::from_value(&toml::parse(text)?)
 }
 
-/// Parses a JSON spec into a validated [`SpecDoc`].
+/// Parses a JSON spec into a validated [`SpecDoc`]. Syntax errors name
+/// their line and column.
 pub fn spec_from_json(text: &str) -> Result<SpecDoc> {
-    SpecDoc::from_value(&json::parse(text)?)
+    let doc = Json::parse(text).map_err(SpecError::new)?;
+    SpecDoc::from_value(&json_to_value(doc)?)
+}
+
+/// Converts a parsed JSON document into the [`Value`] tree. `Json`
+/// reads a non-negative number without fraction or exponent as `UInt`
+/// (an integer here) and every negative number as `Num`, so a negative
+/// number becomes an integer when its value is integral. `null` (a spec
+/// omits absent keys instead) and a key repeated within one object
+/// (which would shadow the first) fail, naming the key.
+fn json_to_value(json: Json) -> Result<Value> {
+    Ok(match json {
+        Json::Null => {
+            return Err(SpecError::new(
+                "null is not supported — omit the key instead",
+            ))
+        }
+        Json::Bool(b) => Value::Bool(b),
+        Json::UInt(v) => Value::Int(v.into()),
+        Json::Num(v) if v < 0.0 && v.fract() == 0.0 && v >= i64::MIN as f64 => {
+            Value::Int(v as i128)
+        }
+        Json::Num(v) => Value::Float(v),
+        Json::Str(s) => Value::Str(s),
+        Json::Arr(items) => Value::Array(
+            items
+                .into_iter()
+                .map(json_to_value)
+                .collect::<Result<_>>()?,
+        ),
+        Json::Obj(pairs) => {
+            let mut table: Vec<(String, Value)> = Vec::with_capacity(pairs.len());
+            for (key, v) in pairs {
+                if table.iter().any(|(k, _)| *k == key) {
+                    return Err(SpecError::new(format!("duplicate key '{key}'")));
+                }
+                let v = json_to_value(v).map_err(|e| e.in_context(&key))?;
+                table.push((key, v));
+            }
+            Value::Table(table)
+        }
+    })
 }
 
 /// Parses a spec, choosing the reader from the file name's extension
@@ -68,6 +112,87 @@ pub fn spec_from_file_text(path: &str, text: &str) -> Result<SpecDoc> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The smallest valid JSON spec.
+    const MINIMAL: &str = r#"{"name": "x", "topology": {"kind": "fat_tree"}}"#;
+
+    #[test]
+    fn json_objects_arrays_and_scalars_parse() {
+        let doc = spec_from_json(
+            r#"{"name": "demo", "topology": {"kind": "fat_tree", "k": 4,
+                "host_rate_gbps": 2.5e1, "link_prop_us": 10},
+                "traffic": {"bg_load": 0.5, "query_fanout": 8},
+                "grid": {"bg_load": [0.5, 9e-1]},
+                "emit": [{"title": "t", "rows": "bg_load", "metric": "qct_slowdown_avg"}]}"#,
+        )
+        .unwrap();
+        assert_eq!(doc.name, "demo");
+        assert_eq!(doc.topology.kind, TopologyKind::FatTree { k: 4 });
+        assert_eq!(doc.topology.host_rate_gbps, 25.0);
+        assert_eq!(doc.topology.link_prop_us, 10.0);
+        assert_eq!(doc.traffic.bg_load, 0.5);
+        assert_eq!(doc.traffic.query_fanout, 8);
+        assert_eq!(doc.grid[0].full, [Num::Float(0.5), Num::Float(0.9)]);
+        assert_eq!(doc.emit[0].title, "t");
+        // Scalars no spec key takes: booleans, and negative integers,
+        // which `Json` reads as integral floats.
+        let v = json_to_value(Json::parse(r#"{"ok": true, "k": -1, "x": -2.5, "n": 3}"#).unwrap())
+            .unwrap();
+        assert_eq!(v.get("ok"), Some(&Value::Bool(true)));
+        assert_eq!(v.get("k"), Some(&Value::Int(-1)));
+        assert_eq!(v.get("x"), Some(&Value::Float(-2.5)));
+        assert_eq!(v.get("n"), Some(&Value::Int(3)));
+    }
+
+    #[test]
+    fn json_rejects_null_trailing_and_bad_syntax() {
+        assert!(spec_from_json(MINIMAL).is_ok());
+        let e = spec_from_json(r#"{"name": "x", "topology": {"kind": null}}"#).unwrap_err();
+        assert!(e.message().contains("null"), "{e}");
+        assert!(e.message().contains("kind"), "null must name its key: {e}");
+        let e = spec_from_json(&format!("{MINIMAL} extra")).unwrap_err();
+        assert!(e.message().contains("trailing"), "{e}");
+        assert!(spec_from_json(r#"{"name" "x"}"#).is_err());
+        assert!(spec_from_json(r#"{"name": "x",, "topology": {}}"#).is_err());
+    }
+
+    #[test]
+    fn json_error_names_the_line() {
+        let e = spec_from_json("{\n\"name\": nope\n}").unwrap_err();
+        assert!(e.message().contains("line 2"), "{e}");
+    }
+
+    #[test]
+    fn json_repeated_key_fails_naming_it() {
+        let e =
+            spec_from_json(r#"{"name": "x", "topology": {"kind": "fat_tree", "k": 4, "k": 8}}"#)
+                .unwrap_err();
+        assert!(e.message().contains("duplicate key 'k'"), "{e}");
+    }
+
+    #[test]
+    fn json_raw_control_character_in_string_fails() {
+        // RFC 8259 §7: control characters inside strings must be escaped.
+        let escaped =
+            r#"{"name": "x", "description": "two\nlines", "topology": {"kind": "fat_tree"}}"#;
+        assert_eq!(spec_from_json(escaped).unwrap().description, "two\nlines");
+        let raw = escaped.replace("\\n", "\n");
+        let e = spec_from_json(&raw).unwrap_err();
+        assert!(e.message().contains("control character"), "{e}");
+    }
+
+    #[test]
+    fn every_truncated_json_spec_fails_without_panicking() {
+        let text = include_str!("../../../specs/leaf_spine_allreduce.json");
+        assert!(spec_from_json(text).is_ok());
+        let last = text.rfind('}').unwrap();
+        for cut in (0..=last).filter(|&c| text.is_char_boundary(c)) {
+            assert!(
+                spec_from_json(&text[..cut]).is_err(),
+                "prefix of {cut} bytes parsed"
+            );
+        }
+    }
 
     #[test]
     fn toml_and_json_agree() {
