@@ -8,7 +8,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use occamy_core::BmKind;
-use occamy_sim::topology::{fat_tree, BmSpec, FatTreeCfg, SchedKind};
+use occamy_sim::topology::{fabric, BmSpec, FabricCfg, FabricTopo, SchedKind};
 use occamy_sim::{CcAlgo, FlowDesc, SimConfig, World, MS, US};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -59,10 +59,11 @@ fn bench_barrier(c: &mut Criterion) {
 fn build_world(threads: usize) -> World {
     let mut sim = SimConfig::large_scale();
     sim.threads = threads;
-    let mut w = fat_tree(FatTreeCfg {
-        k: 4,
+    let mut w = fabric(FabricCfg {
+        topo: FabricTopo::FatTree { k: 4 },
         host_rate_bps: 25_000_000_000,
         fabric_rate_bps: 25_000_000_000,
+        oversubscription: 1.0,
         link_prop_ps: 10 * US,
         buffer_per_8ports_bytes: 500_000,
         classes: 1,

@@ -1,7 +1,9 @@
 //! The one fabric scenario builder: the paper's workload mix
 //! (web-search / all-to-all / all-reduce / permutation background plus
 //! incast queries) over a leaf-spine, fat-tree or 3-tier fabric with an
-//! oversubscription knob.
+//! oversubscription knob. The shape is `occamy_sim`'s [`FabricTopo`]
+//! (re-exported here), and [`FabricScenario::build`] hands it to
+//! `occamy_sim::topology::fabric`.
 //!
 //! [`FabricScenario`] runs the §6.4 figures (fig07, fig17–fig23 start
 //! from [`FabricScenario::paper_leaf_spine`]), the transport baseline
@@ -16,72 +18,9 @@ use crate::report::{aggregate, IdealFct, RunResult};
 use crate::scenario::Scale;
 use crate::scenarios::{inject_fabric_workload, BgPattern};
 use occamy_core::{BmKind, BmTuning};
-use occamy_sim::topology::{
-    fat_tree, leaf_spine, three_tier, BmSpec, FatTreeCfg, LeafSpineCfg, SchedKind, ThreeTierCfg,
-};
+pub use occamy_sim::topology::FabricTopo;
+use occamy_sim::topology::{fabric, BmSpec, FabricCfg, SchedKind};
 use occamy_sim::{FaultSchedule, Ps, SimConfig, World, XpSched, MS, US};
-
-/// The fabric shape a [`FabricScenario`] runs on.
-#[derive(Debug, Clone)]
-pub enum FabricTopo {
-    /// Two-tier leaf-spine (paper §6.4).
-    LeafSpine {
-        /// Spine switch count.
-        spines: usize,
-        /// Leaf switch count.
-        leaves: usize,
-        /// Hosts per leaf.
-        hosts_per_leaf: usize,
-    },
-    /// k-ary three-layer fat-tree.
-    FatTree {
-        /// Pod arity (even, ≥ 2); `k³/4` hosts.
-        k: usize,
-    },
-    /// Classic access/aggregation/core 3-tier fabric.
-    ThreeTier {
-        /// Pod count.
-        pods: usize,
-        /// Access switches per pod.
-        access_per_pod: usize,
-        /// Aggregation switches per pod.
-        aggs_per_pod: usize,
-        /// Core switch count.
-        cores: usize,
-        /// Hosts per access switch.
-        hosts_per_access: usize,
-    },
-}
-
-impl FabricTopo {
-    /// Host count of the fabric.
-    pub fn n_hosts(&self) -> usize {
-        match *self {
-            FabricTopo::LeafSpine {
-                leaves,
-                hosts_per_leaf,
-                ..
-            } => leaves * hosts_per_leaf,
-            FabricTopo::FatTree { k } => k * k * k / 4,
-            FabricTopo::ThreeTier {
-                pods,
-                access_per_pod,
-                hosts_per_access,
-                ..
-            } => pods * access_per_pod * hosts_per_access,
-        }
-    }
-
-    /// One-way hop count of the longest (inter-pod) host-to-host path,
-    /// in links — 4 for leaf-spine, 6 for the three-layer fabrics. Used
-    /// by the ideal-FCT base-RTT model.
-    pub fn max_path_links(&self) -> u64 {
-        match self {
-            FabricTopo::LeafSpine { .. } => 4,
-            FabricTopo::FatTree { .. } | FabricTopo::ThreeTier { .. } => 6,
-        }
-    }
-}
 
 /// A workload run over an arbitrary fabric topology: build, inject
 /// ([`inject_fabric_workload`]), apply faults, run and aggregate.
@@ -100,10 +39,9 @@ pub struct FabricScenario {
     pub host_rate_bps: u64,
     /// Switch-to-switch link rate before oversubscription.
     pub fabric_rate_bps: u64,
-    /// Access-layer oversubscription ratio (≥ 1). For leaf-spine and
-    /// fat-tree fabrics the effective fabric link rate is
-    /// `fabric_rate_bps / oversubscription`; the 3-tier builder takes
-    /// the ratio directly and sizes its access up-links from it.
+    /// Access-layer oversubscription ratio (≥ 1); see
+    /// [`FabricCfg::link_rate_bps`] for how it sets each shape's switch
+    /// link rates.
     pub oversubscription: f64,
     /// One-way propagation per link.
     pub link_prop_ps: Ps,
@@ -189,18 +127,6 @@ impl FabricScenario {
         self.topo.n_hosts()
     }
 
-    /// Effective switch-to-switch link rate after the oversubscription
-    /// division (leaf-spine / fat-tree; the 3-tier builder derives its
-    /// own up-link rate from the ratio).
-    pub fn effective_fabric_rate_bps(&self) -> u64 {
-        assert!(
-            self.oversubscription >= 1.0,
-            "oversubscription must be ≥ 1 (got {})",
-            self.oversubscription
-        );
-        ((self.fabric_rate_bps as f64 / self.oversubscription).round() as u64).max(1)
-    }
-
     /// Ideal-FCT model: base RTT = 2 × longest path × per-link
     /// propagation (80 µs on the paper leaf-spine), access-link
     /// bottleneck.
@@ -219,58 +145,18 @@ impl FabricScenario {
             alpha_per_class: vec![self.alpha],
             tuning: self.tuning,
         };
-        let mut world = match self.topo {
-            FabricTopo::LeafSpine {
-                spines,
-                leaves,
-                hosts_per_leaf,
-            } => leaf_spine(LeafSpineCfg {
-                spines,
-                leaves,
-                hosts_per_leaf,
-                host_rate_bps: self.host_rate_bps,
-                fabric_rate_bps: self.effective_fabric_rate_bps(),
-                link_prop_ps: self.link_prop_ps,
-                buffer_per_8ports_bytes: self.buffer_per_8ports,
-                classes: 1,
-                bm,
-                sched: SchedKind::Fifo,
-                sim: self.sim.clone(),
-            }),
-            FabricTopo::FatTree { k } => fat_tree(FatTreeCfg {
-                k,
-                host_rate_bps: self.host_rate_bps,
-                fabric_rate_bps: self.effective_fabric_rate_bps(),
-                link_prop_ps: self.link_prop_ps,
-                buffer_per_8ports_bytes: self.buffer_per_8ports,
-                classes: 1,
-                bm,
-                sched: SchedKind::Fifo,
-                sim: self.sim.clone(),
-            }),
-            FabricTopo::ThreeTier {
-                pods,
-                access_per_pod,
-                aggs_per_pod,
-                cores,
-                hosts_per_access,
-            } => three_tier(ThreeTierCfg {
-                pods,
-                access_per_pod,
-                aggs_per_pod,
-                cores,
-                hosts_per_access,
-                host_rate_bps: self.host_rate_bps,
-                core_rate_bps: self.fabric_rate_bps,
-                oversubscription: self.oversubscription,
-                link_prop_ps: self.link_prop_ps,
-                buffer_per_8ports_bytes: self.buffer_per_8ports,
-                classes: 1,
-                bm,
-                sched: SchedKind::Fifo,
-                sim: self.sim.clone(),
-            }),
-        };
+        let mut world = fabric(FabricCfg {
+            topo: self.topo,
+            host_rate_bps: self.host_rate_bps,
+            fabric_rate_bps: self.fabric_rate_bps,
+            oversubscription: self.oversubscription,
+            link_prop_ps: self.link_prop_ps,
+            buffer_per_8ports_bytes: self.buffer_per_8ports,
+            classes: 1,
+            bm,
+            sched: SchedKind::Fifo,
+            sim: self.sim.clone(),
+        });
         if let Some(sched) = self.crosspoint {
             world.enable_crosspoint(sched);
         }
@@ -362,7 +248,6 @@ mod tests {
     fn oversubscription_divides_fabric_rate() {
         let mut f = FabricScenario::paper_scaled(FabricTopo::FatTree { k: 4 }, BmKind::Dt, 1.0);
         f.oversubscription = 4.0;
-        assert_eq!(f.effective_fabric_rate_bps(), f.fabric_rate_bps / 4);
         let w = f.build();
         // Edge up-links run at the divided rate, host links at full.
         assert_eq!(w.switches[0].ports[0].link.rate_bps, f.host_rate_bps);

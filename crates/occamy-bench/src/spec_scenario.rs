@@ -12,7 +12,7 @@
 //! registry scenario's grid reproduces that scenario's tables **bit for
 //! bit** (pinned by `tests/spec_scenarios.rs`).
 
-use crate::fabric::{scale_fabric, FabricScenario, FabricTopo};
+use crate::fabric::{scale_fabric, FabricScenario};
 use crate::scenario::{
     matrix_table, CellOutcome, CellResult, CellSpec, Grid, Report, Scale, Scenario, Value,
 };
@@ -20,8 +20,7 @@ use crate::scenarios::{bm_kind_by_name, BgPattern};
 use occamy_core::{BmKind, BmTuning};
 use occamy_sim::{Drain, FaultSchedule, HostChurn, LinkFlap, Ps, SimConfig, XpSched, MS, US};
 use occamy_spec::{
-    AxisSpec, Background, FaultClause, Num, QuerySize, SpecDoc, SwitchArch, TableKind,
-    TopologyKind, XpSchedSpec,
+    AxisSpec, Background, FaultClause, Num, QuerySize, SpecDoc, SwitchArch, TableKind, XpSchedSpec,
 };
 
 /// A registry-compatible scenario compiled from a spec document.
@@ -113,31 +112,6 @@ impl SpecScenario {
     /// The base scenario (before grid-axis overrides) for `scheme`.
     fn base_scenario(&self, scheme: &str) -> FabricScenario {
         let t = &self.doc.topology;
-        let topo = match t.kind {
-            TopologyKind::LeafSpine {
-                spines,
-                leaves,
-                hosts_per_leaf,
-            } => FabricTopo::LeafSpine {
-                spines,
-                leaves,
-                hosts_per_leaf,
-            },
-            TopologyKind::FatTree { k } => FabricTopo::FatTree { k },
-            TopologyKind::ThreeTier {
-                pods,
-                access_per_pod,
-                aggs_per_pod,
-                cores,
-                hosts_per_access,
-            } => FabricTopo::ThreeTier {
-                pods,
-                access_per_pod,
-                aggs_per_pod,
-                cores,
-                hosts_per_access,
-            },
-        };
         // The pseudo-scheme "Crosspoint" (or `[topology] switch_arch =
         // "crosspoint"`) swaps the switch architecture: crosspoint cells
         // get statically partitioned per-(input, output) buffers, so the
@@ -213,7 +187,7 @@ impl SpecScenario {
         }
         let s = &self.doc.sim;
         FabricScenario {
-            topo,
+            topo: t.kind,
             bm,
             alpha: self.doc.schemes.alpha_for(scheme),
             tuning: BmTuning::default(),

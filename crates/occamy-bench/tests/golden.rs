@@ -1,8 +1,8 @@
 //! Golden-metric regression tracking (ROADMAP: "result regression
 //! tracking"): `golden/` holds committed smoke-scale `BENCH_<name>.json`
-//! snapshots of the four [`TRACKED`] scenarios; this test re-runs them
-//! in-process and fails when any *headline* metric drifts beyond
-//! tolerance.
+//! snapshots of the four [`TRACKED`] registry scenarios and the
+//! [`TRACKED_SPECS`] spec files; this test re-runs them in-process and
+//! fails when any *headline* metric drifts beyond tolerance.
 //!
 //! Perf fields are deliberately excluded from the comparison: `wall_ms`
 //! / `events_per_sec` vary run to run, and the `events` count is an
@@ -13,13 +13,16 @@
 //! Regenerating after an *intentional* result change:
 //!
 //! ```text
-//! cd $(mktemp -d) && occamy-bench run fig03 fig12 fig20 perf_transport --smoke --serial --freeze-perf
-//! cp BENCH_fig03.json BENCH_fig12.json BENCH_fig20.json BENCH_perf_transport.json <repo>/golden/
+//! cd $(mktemp -d) && occamy-bench run fig03 fig12 fig20 perf_transport \
+//!     --spec <repo>/specs/three_tier_oversub.toml --smoke --serial --freeze-perf
+//! cp BENCH_fig03.json BENCH_fig12.json BENCH_fig20.json BENCH_perf_transport.json \
+//!     BENCH_three_tier_oversub.json <repo>/golden/
 //! ```
 
 use occamy_bench::registry::find_scenario;
 use occamy_bench::runner::execute;
-use occamy_bench::scenario::Scale;
+use occamy_bench::scenario::{Scale, Scenario};
+use occamy_bench::spec_scenario::SpecScenario;
 use occamy_stats::Json;
 use std::path::PathBuf;
 
@@ -30,16 +33,37 @@ use std::path::PathBuf;
 /// — together they cover every simulation substrate.
 const TRACKED: &[&str] = &["fig03", "fig12", "fig20", "perf_transport"];
 
+/// Tracked spec files, relative to the repository root: the 3-tier
+/// fabric, which no registry scenario runs.
+const TRACKED_SPECS: &[&str] = &["specs/three_tier_oversub.toml"];
+
 /// Metric keys excluded from the comparison (perf, not results).
 const PERF_METRICS: &[&str] = &["events"];
 
 const REL_TOL: f64 = 1e-6;
 
-fn golden_dir() -> PathBuf {
+fn repo_path(rel: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../../golden")
+        .join("../..")
+        .join(rel)
         .canonicalize()
-        .expect("golden/ directory exists")
+        .unwrap_or_else(|e| panic!("{rel}: {e}"))
+}
+
+fn golden_dir() -> PathBuf {
+    repo_path("golden")
+}
+
+/// Every tracked scenario: the registry ones, then the spec files.
+fn tracked() -> Vec<&'static dyn Scenario> {
+    let registry = TRACKED
+        .iter()
+        .map(|name| find_scenario(name).unwrap_or_else(|| panic!("{name} not registered")));
+    let specs = TRACKED_SPECS.iter().map(|rel| {
+        let path = repo_path(rel);
+        SpecScenario::load(path.to_str().unwrap()).unwrap() as &'static dyn Scenario
+    });
+    registry.chain(specs).collect()
 }
 
 fn close(a: f64, b: f64) -> bool {
@@ -48,7 +72,8 @@ fn close(a: f64, b: f64) -> bool {
 
 #[test]
 fn headline_metrics_match_golden_snapshots() {
-    for name in TRACKED {
+    for scenario in tracked() {
+        let name = scenario.name();
         let path = golden_dir().join(format!("BENCH_{name}.json"));
         let text =
             std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
@@ -59,7 +84,6 @@ fn headline_metrics_match_golden_snapshots() {
             "{name}: golden snapshots are smoke-scale"
         );
 
-        let scenario = find_scenario(name).unwrap_or_else(|| panic!("{name} not registered"));
         let (runs, _) = execute(&[scenario], Scale::Smoke, true);
         let run = &runs[0];
 
@@ -113,7 +137,7 @@ fn headline_metrics_match_golden_snapshots() {
 #[test]
 fn golden_snapshots_cover_all_tracked_scenarios() {
     let dir = golden_dir();
-    for name in TRACKED {
+    for name in tracked().iter().map(|s| s.name()) {
         assert!(
             dir.join(format!("BENCH_{name}.json")).exists(),
             "golden/BENCH_{name}.json missing"

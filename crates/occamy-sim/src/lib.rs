@@ -12,10 +12,11 @@
 //!   partitions and a token-bucket model of redundant memory bandwidth;
 //! - [`Host`]s running DCTCP / CUBIC / Reno ([`FlowState`]) plus raw
 //!   CBR sources ([`CbrSource`]) standing in for Pktgen;
-//! - [`topology`] builders for the paper's single-switch testbeds, the
-//!   128-host leaf-spine fabric, k-ary fat-trees and 3-tier
-//!   (access/aggregation/core) fabrics with an oversubscription knob,
-//!   all routed with ECMP;
+//! - [`topology`] builders: one for the paper's single-switch
+//!   testbeds, and one ECMP-routed fabric builder for every
+//!   [`topology::FabricTopo`] shape — the 128-host leaf-spine, k-ary
+//!   fat-trees and 3-tier (access/aggregation/core) fabrics — with an
+//!   oversubscription knob;
 //! - [`Metrics`] capturing drops (with buffer / memory-bandwidth
 //!   utilization context), queue-length time series, CBR loss and flow
 //!   completion records.

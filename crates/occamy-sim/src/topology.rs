@@ -1,10 +1,13 @@
-//! Topology builders: single shared-memory switch, leaf-spine, k-ary
-//! fat-tree and classic 3-tier (access/aggregation/core) fabrics.
+//! Topology builders: [`single_switch`] for the testbed experiments and
+//! [`fabric`], the one builder for every [`FabricTopo`] shape — the
+//! leaf-spine, the k-ary fat-tree and the classic 3-tier
+//! (access/aggregation/core) fabric with an oversubscription knob.
 //!
-//! Every fabric builder also exports a [`DomainMap`]: a partition of
-//! the fabric into *event domains* (pods, or leaf/spine groups) that
-//! the deterministic parallel executor uses for domain-decomposed
-//! runs (`SimConfig::threads > 1`). Serial runs ignore it.
+//! Both builders also export a [`DomainMap`]: a partition of the world
+//! into *event domains* (a fabric's pods plus one per top-tier switch;
+//! a single switch is one domain) that the deterministic parallel
+//! executor uses for domain-decomposed runs (`SimConfig::threads > 1`).
+//! Serial runs ignore it.
 
 use crate::event::NodeId;
 use crate::host::{Host, HostLink};
@@ -16,6 +19,8 @@ use crate::world::World;
 use crate::SimConfig;
 use occamy_core::{BmKind, BmTuning, QueueConfig, RateEstimator, TokenBucket};
 use std::collections::VecDeque;
+use std::iter::StepBy;
+use std::ops::Range;
 
 /// A partition of a fabric's hosts and switches into event domains for
 /// domain-decomposed parallel execution.
@@ -196,15 +201,9 @@ pub fn single_switch(c: SingleSwitchCfg) -> World {
         .collect();
 
     let ports: Vec<SwitchPort> = (0..n)
-        .map(|p| SwitchPort {
-            link: Link {
-                to: NodeId::host(p),
-                rate_bps: c.host_rates_bps[p],
-                prop_ps: c.prop_ps,
-            },
-            queues: (0..c.classes).map(|_| VecDeque::new()).collect(),
-            sched: c.sched.build(c.classes),
-            tx_busy: false,
+        .map(|p| {
+            let rate = c.host_rates_bps[p];
+            port(NodeId::host(p), rate, c.prop_ps, c.classes, c.sched)
         })
         .collect();
 
@@ -242,20 +241,228 @@ pub fn single_switch(c: SingleSwitchCfg) -> World {
     w
 }
 
-/// Configuration of a leaf-spine topology (paper §6.4).
+/// Most ports a switch may have: routing tables and fault clauses hold
+/// port ids as `u16`.
+const MAX_PORTS: usize = 1 << 16;
+
+const OVERFLOW: &str = "fabric size overflows usize (FabricTopo::check rejects it)";
+
+/// The shape of an ECMP-routed multi-tier fabric (paper §6.4).
+///
+/// Switch ids run tier by tier from the bottom (leaves, edges or access
+/// switches first, then spines or aggregations, then cores), pod-major
+/// within a tier. Hosts are numbered bottom-switch-major: host `h`
+/// hangs off bottom switch `h / hosts per bottom switch`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FabricTopo {
+    /// Two-tier leaf-spine: every leaf uplinks to every spine.
+    LeafSpine {
+        /// Spine switch count.
+        spines: usize,
+        /// Leaf switch count.
+        leaves: usize,
+        /// Hosts per leaf.
+        hosts_per_leaf: usize,
+    },
+    /// k-ary fat-tree (Al-Fares et al.): `k` pods of `k/2` edge and
+    /// `k/2` aggregation switches, `(k/2)²` cores, `k³/4` hosts.
+    /// Aggregation switch `a` of each pod uplinks to core group `a`
+    /// (cores `a·k/2 .. (a+1)·k/2`).
+    FatTree {
+        /// Pod arity (even, ≥ 2).
+        k: usize,
+    },
+    /// Classic access/aggregation/core fabric: every access switch
+    /// uplinks to all aggregations of its pod, and every aggregation to
+    /// all cores, so inter-pod traffic crosses three tiers.
+    ThreeTier {
+        /// Pod count (a pod is one aggregation group plus its access
+        /// layer).
+        pods: usize,
+        /// Access switches per pod.
+        access_per_pod: usize,
+        /// Aggregation switches per pod.
+        aggs_per_pod: usize,
+        /// Core switch count.
+        cores: usize,
+        /// Hosts per access switch.
+        hosts_per_access: usize,
+    },
+}
+
+impl FabricTopo {
+    /// The spec spelling of the shape.
+    pub fn name(&self) -> &'static str {
+        match self {
+            FabricTopo::LeafSpine { .. } => "leaf_spine",
+            FabricTopo::FatTree { .. } => "fat_tree",
+            FabricTopo::ThreeTier { .. } => "three_tier",
+        }
+    }
+
+    /// Host count.
+    pub fn n_hosts(&self) -> usize {
+        self.sizes().expect(OVERFLOW).0
+    }
+
+    /// Switch count.
+    pub fn n_switches(&self) -> usize {
+        self.sizes().expect(OVERFLOW).1.iter().map(|t| t.0).sum()
+    }
+
+    /// Port count of switch `s`, or `None` for a switch outside the
+    /// fabric.
+    pub fn n_ports(&self, mut s: usize) -> Option<usize> {
+        for (n, ports) in self.sizes().expect(OVERFLOW).1 {
+            if s < n {
+                return Some(ports);
+            }
+            s -= n;
+        }
+        None
+    }
+
+    /// Links on the longest (inter-pod) host-to-host path, access links
+    /// included: 4 on the leaf-spine, 6 on the three-layer fabrics. The
+    /// ideal-FCT base RTT is twice this many link propagations.
+    pub fn max_path_links(&self) -> u64 {
+        match self {
+            FabricTopo::LeafSpine { .. } => 4,
+            FabricTopo::FatTree { .. } | FabricTopo::ThreeTier { .. } => 6,
+        }
+    }
+
+    /// Checks that [`fabric`] can build this shape: every dimension
+    /// meets its minimum, host and switch counts fit a `u32` node id and
+    /// every switch's ports fit a `u16` port id. Allocates nothing
+    /// unless it fails.
+    pub fn check(&self) -> Result<(), String> {
+        let at_least = |key: &str, v: usize, min: usize| {
+            if v >= min {
+                Ok(())
+            } else {
+                Err(format!("'{key}' must be ≥ {min} (got {v})"))
+            }
+        };
+        match *self {
+            FabricTopo::LeafSpine {
+                spines,
+                leaves,
+                hosts_per_leaf,
+            } => {
+                at_least("spines", spines, 1)?;
+                at_least("leaves", leaves, 2)?;
+                at_least("hosts_per_leaf", hosts_per_leaf, 1)?;
+            }
+            FabricTopo::FatTree { k } => {
+                if k < 2 || k % 2 != 0 {
+                    return Err(format!("fat-tree arity 'k' must be even, ≥ 2 (got {k})"));
+                }
+            }
+            FabricTopo::ThreeTier {
+                pods,
+                access_per_pod,
+                aggs_per_pod,
+                cores,
+                hosts_per_access,
+            } => {
+                at_least("pods", pods, 2)?;
+                at_least("access_per_pod", access_per_pod, 1)?;
+                at_least("aggs_per_pod", aggs_per_pod, 1)?;
+                at_least("cores", cores, 1)?;
+                at_least("hosts_per_access", hosts_per_access, 1)?;
+            }
+        }
+        let name = self.name();
+        let too_big = || {
+            format!(
+                "the {name} fabric has more than {} hosts or switches",
+                u32::MAX
+            )
+        };
+        let (hosts, tiers) = self.sizes().ok_or_else(too_big)?;
+        let switches = tiers
+            .iter()
+            .try_fold(0usize, |sum, t| sum.checked_add(t.0))
+            .ok_or_else(too_big)?;
+        if hosts.max(switches) > u32::MAX as usize {
+            return Err(too_big());
+        }
+        let mut first = 0;
+        for (n, ports) in tiers {
+            if n > 0 && ports > MAX_PORTS {
+                return Err(format!(
+                    "switch {first} of the {name} fabric has {ports} ports; \
+                     port ids are u16, so a switch has at most {MAX_PORTS}"
+                ));
+            }
+            first += n;
+        }
+        Ok(())
+    }
+
+    /// Host count and, bottom tier first, each tier's switch count and
+    /// per-switch port count; `None` when a count overflows `usize`.
+    fn sizes(&self) -> Option<(usize, [(usize, usize); 3])> {
+        Some(match *self {
+            FabricTopo::LeafSpine {
+                spines,
+                leaves,
+                hosts_per_leaf,
+            } => (
+                leaves.checked_mul(hosts_per_leaf)?,
+                [
+                    (leaves, hosts_per_leaf.checked_add(spines)?),
+                    (spines, leaves),
+                    (0, 0),
+                ],
+            ),
+            FabricTopo::FatTree { k } => {
+                let half = k / 2;
+                let per_tier = k.checked_mul(half)?;
+                (
+                    per_tier.checked_mul(half)?,
+                    [(per_tier, k), (per_tier, k), (half.checked_mul(half)?, k)],
+                )
+            }
+            FabricTopo::ThreeTier {
+                pods,
+                access_per_pod,
+                aggs_per_pod,
+                cores,
+                hosts_per_access,
+            } => {
+                let access = pods.checked_mul(access_per_pod)?;
+                let aggs = pods.checked_mul(aggs_per_pod)?;
+                (
+                    access.checked_mul(hosts_per_access)?,
+                    [
+                        (access, hosts_per_access.checked_add(aggs_per_pod)?),
+                        (aggs, access_per_pod.checked_add(cores)?),
+                        (cores, aggs),
+                    ],
+                )
+            }
+        })
+    }
+}
+
+/// Configuration of an ECMP-routed multi-tier fabric.
 #[derive(Debug, Clone)]
-pub struct LeafSpineCfg {
-    /// Spine switch count.
-    pub spines: usize,
-    /// Leaf switch count.
-    pub leaves: usize,
-    /// Hosts attached to each leaf.
-    pub hosts_per_leaf: usize,
+pub struct FabricCfg {
+    /// Fabric shape and dimensions.
+    pub topo: FabricTopo,
     /// Host access-link rate.
     pub host_rate_bps: u64,
-    /// Leaf↔spine link rate.
+    /// Switch-to-switch link rate before oversubscription (see
+    /// [`FabricCfg::link_rate_bps`]).
     pub fabric_rate_bps: u64,
-    /// One-way propagation per hop (8 hops per across-spine RTT).
+    /// Access-layer oversubscription ratio: host-facing capacity over
+    /// up-link capacity. `1.0` is non-blocking; `4.0` means the up-links
+    /// carry a quarter of it, the classic many-to-one stress for
+    /// shared-buffer schemes.
+    pub oversubscription: f64,
+    /// One-way propagation per link.
     pub link_prop_ps: Ps,
     /// Shared buffer per group of 8 ports (Tomahawk-style partitioning).
     pub buffer_per_8ports_bytes: u64,
@@ -269,634 +476,255 @@ pub struct LeafSpineCfg {
     pub sim: SimConfig,
 }
 
-impl LeafSpineCfg {
-    /// The paper's §6.4 topology: 8 spines, 8 leaves, 16 hosts per leaf,
-    /// 100 Gbps links, 80 µs base RTT, 4 MB per 8 ports.
-    pub fn paper(bm: BmSpec, sim: SimConfig) -> Self {
-        LeafSpineCfg {
-            spines: 8,
-            leaves: 8,
-            hosts_per_leaf: 16,
-            host_rate_bps: 100_000_000_000,
-            fabric_rate_bps: 100_000_000_000,
-            link_prop_ps: 10 * crate::time::US,
-            buffer_per_8ports_bytes: 4_000_000,
-            classes: 1,
-            bm,
-            sched: SchedKind::Fifo,
-            sim,
-        }
-    }
-
-    /// Total host count.
-    pub fn n_hosts(&self) -> usize {
-        self.leaves * self.hosts_per_leaf
-    }
-}
-
-/// Builds the leaf-spine world. Hosts are numbered leaf-major (host `h`
-/// sits on leaf `h / hosts_per_leaf`); switch ids are leaves first, then
-/// spines.
-pub fn leaf_spine(c: LeafSpineCfg) -> World {
-    assert!(c.spines >= 1 && c.leaves >= 2, "need a real fabric");
-    let hpl = c.hosts_per_leaf;
-    let n_hosts = c.n_hosts();
-    let hosts: Vec<Host> = (0..n_hosts)
-        .map(|h| {
-            Host::new(
-                h,
-                HostLink {
-                    to_switch: h / hpl,
-                    rate_bps: c.host_rate_bps,
-                    prop_ps: c.link_prop_ps,
-                },
-            )
-        })
-        .collect();
-
-    let mut switches = Vec::with_capacity(c.leaves + c.spines);
-    let sh = shared(&c.bm, c.sched, c.buffer_per_8ports_bytes, c.classes, &c.sim);
-    // Leaves: ports 0..hpl are down-links, hpl..hpl+spines are up-links.
-    for leaf in 0..c.leaves {
-        let mut ports = Vec::new();
-        let mut rates = Vec::new();
-        for local in 0..hpl {
-            ports.push(SwitchPort {
-                link: Link {
-                    to: NodeId::host(leaf * hpl + local),
-                    rate_bps: c.host_rate_bps,
-                    prop_ps: c.link_prop_ps,
-                },
-                queues: (0..c.classes).map(|_| VecDeque::new()).collect(),
-                sched: c.sched.build(c.classes),
-                tx_busy: false,
-            });
-            rates.push(c.host_rate_bps);
-        }
-        for spine in 0..c.spines {
-            ports.push(SwitchPort {
-                link: Link {
-                    to: NodeId::switch(c.leaves + spine),
-                    rate_bps: c.fabric_rate_bps,
-                    prop_ps: c.link_prop_ps,
-                },
-                queues: (0..c.classes).map(|_| VecDeque::new()).collect(),
-                sched: c.sched.build(c.classes),
-                tx_busy: false,
-            });
-            rates.push(c.fabric_rate_bps);
-        }
-        // Routing: local hosts via their down port, others via ECMP
-        // across all up-links.
-        let up_ports: Vec<u16> = (hpl..hpl + c.spines).map(|p| p as u16).collect();
-        let routing = RoutingTable::new(
-            (0..n_hosts)
-                .map(|dst| {
-                    if dst / hpl == leaf {
-                        vec![(dst % hpl) as u16]
-                    } else {
-                        up_ports.clone()
-                    }
-                })
-                .collect(),
-        );
-        switches.push(assemble_switch(leaf, ports, rates, routing, &sh));
-    }
-    // Spines: port `l` goes down to leaf `l`.
-    for spine in 0..c.spines {
-        let mut ports = Vec::new();
-        let mut rates = Vec::new();
-        for leaf in 0..c.leaves {
-            ports.push(SwitchPort {
-                link: Link {
-                    to: NodeId::switch(leaf),
-                    rate_bps: c.fabric_rate_bps,
-                    prop_ps: c.link_prop_ps,
-                },
-                queues: (0..c.classes).map(|_| VecDeque::new()).collect(),
-                sched: c.sched.build(c.classes),
-                tx_busy: false,
-            });
-            rates.push(c.fabric_rate_bps);
-        }
-        let routing = RoutingTable::new((0..n_hosts).map(|dst| vec![(dst / hpl) as u16]).collect());
-        switches.push(assemble_switch(
-            c.leaves + spine,
-            ports,
-            rates,
-            routing,
-            &sh,
-        ));
-    }
-    let mut w = World::new(c.sim.clone(), hosts, switches);
-    for sw in &mut w.switches {
-        sw.tier = if sw.id < c.leaves { 0 } else { 1 };
-    }
-    // Domains: each leaf plus its hosts, then each spine on its own.
-    let host_domain = (0..n_hosts).map(|h| (h / hpl) as u32).collect();
-    let switch_domain = (0..c.leaves + c.spines).map(|s| s as u32).collect();
-    w.domains = Some(DomainMap::new(
-        host_domain,
-        switch_domain,
-        &w.hosts,
-        &w.switches,
-    ));
-    w
-}
-
-/// Configuration of a k-ary fat-tree (Al-Fares et al.): `k` pods of
-/// `k/2` edge and `k/2` aggregation switches, `(k/2)²` core switches,
-/// `k³/4` hosts.
-#[derive(Debug, Clone)]
-pub struct FatTreeCfg {
-    /// Pod arity. Must be even and ≥ 2; `k = 4` gives 16 hosts.
-    pub k: usize,
-    /// Host access-link rate.
-    pub host_rate_bps: u64,
-    /// Edge↔aggregation and aggregation↔core link rate.
-    pub fabric_rate_bps: u64,
-    /// One-way propagation per link.
-    pub link_prop_ps: Ps,
-    /// Shared buffer per group of 8 ports.
-    pub buffer_per_8ports_bytes: u64,
-    /// Service classes per port.
-    pub classes: usize,
-    /// Buffer management.
-    pub bm: BmSpec,
-    /// Port scheduler.
-    pub sched: SchedKind,
-    /// Simulation parameters.
-    pub sim: SimConfig,
-}
-
-impl FatTreeCfg {
-    /// Total host count: `k³/4`.
-    pub fn n_hosts(&self) -> usize {
-        self.k * self.k * self.k / 4
-    }
-
-    /// Total switch count: `k²` edge+aggregation plus `(k/2)²` core.
-    pub fn n_switches(&self) -> usize {
-        self.k * self.k + (self.k / 2) * (self.k / 2)
-    }
-}
-
-/// Builds the k-ary fat-tree world.
-///
-/// Hosts are numbered edge-major (host `h` sits under edge switch
-/// `h / (k/2)`); switch ids are edges first (pod-major), then
-/// aggregations (pod-major), then cores. Aggregation switch `a` of each
-/// pod uplinks to core group `a` (cores `a·k/2 .. (a+1)·k/2`), the
-/// standard fat-tree wiring. Routing is shortest-path with ECMP fan-out
-/// on every up-stage ([`RoutingTable`] hashes the flow id, §6.4).
-pub fn fat_tree(c: FatTreeCfg) -> World {
-    assert!(c.k >= 2 && c.k % 2 == 0, "fat-tree arity must be even, ≥ 2");
-    let half = c.k / 2;
-    let hosts_per_pod = half * half;
-    let n_hosts = c.n_hosts();
-    let n_edges = c.k * half;
-    let n_aggs = c.k * half;
-    let sh = shared(&c.bm, c.sched, c.buffer_per_8ports_bytes, c.classes, &c.sim);
-
-    let hosts: Vec<Host> = (0..n_hosts)
-        .map(|h| {
-            Host::new(
-                h,
-                HostLink {
-                    to_switch: h / half,
-                    rate_bps: c.host_rate_bps,
-                    prop_ps: c.link_prop_ps,
-                },
-            )
-        })
-        .collect();
-
-    let mut switches = Vec::with_capacity(c.n_switches());
-    // Edge switches: ports 0..k/2 down to hosts, k/2..k up to the pod's
-    // aggregation switches.
-    for edge in 0..n_edges {
-        let pod = edge / half;
-        let mut ports = Vec::with_capacity(c.k);
-        let mut rates = Vec::with_capacity(c.k);
-        for local in 0..half {
-            ports.push(port(
-                NodeId::host(edge * half + local),
-                c.host_rate_bps,
-                c.link_prop_ps,
-                c.classes,
-                c.sched,
-            ));
-            rates.push(c.host_rate_bps);
-        }
-        for a in 0..half {
-            ports.push(port(
-                NodeId::switch(n_edges + pod * half + a),
-                c.fabric_rate_bps,
-                c.link_prop_ps,
-                c.classes,
-                c.sched,
-            ));
-            rates.push(c.fabric_rate_bps);
-        }
-        let up: Vec<u16> = (half..c.k).map(|p| p as u16).collect();
-        let routing = RoutingTable::new(
-            (0..n_hosts)
-                .map(|dst| {
-                    if dst / half == edge {
-                        vec![(dst % half) as u16]
-                    } else {
-                        up.clone()
-                    }
-                })
-                .collect(),
-        );
-        switches.push(assemble_switch(edge, ports, rates, routing, &sh));
-    }
-    // Aggregation switches: ports 0..k/2 down to the pod's edges,
-    // k/2..k up to the switch's core group.
-    for agg in 0..n_aggs {
-        let pod = agg / half;
-        let group = agg % half;
-        let mut ports = Vec::with_capacity(c.k);
-        let mut rates = Vec::with_capacity(c.k);
-        for e in 0..half {
-            ports.push(port(
-                NodeId::switch(pod * half + e),
-                c.fabric_rate_bps,
-                c.link_prop_ps,
-                c.classes,
-                c.sched,
-            ));
-            rates.push(c.fabric_rate_bps);
-        }
-        for i in 0..half {
-            ports.push(port(
-                NodeId::switch(n_edges + n_aggs + group * half + i),
-                c.fabric_rate_bps,
-                c.link_prop_ps,
-                c.classes,
-                c.sched,
-            ));
-            rates.push(c.fabric_rate_bps);
-        }
-        let up: Vec<u16> = (half..c.k).map(|p| p as u16).collect();
-        let routing = RoutingTable::new(
-            (0..n_hosts)
-                .map(|dst| {
-                    if dst / hosts_per_pod == pod {
-                        vec![((dst / half) % half) as u16]
-                    } else {
-                        up.clone()
-                    }
-                })
-                .collect(),
-        );
-        switches.push(assemble_switch(n_edges + agg, ports, rates, routing, &sh));
-    }
-    // Core switches: port p goes down to this core's aggregation switch
-    // in pod p.
-    for core in 0..half * half {
-        let group = core / half;
-        let mut ports = Vec::with_capacity(c.k);
-        let mut rates = Vec::with_capacity(c.k);
-        for pod in 0..c.k {
-            ports.push(port(
-                NodeId::switch(n_edges + pod * half + group),
-                c.fabric_rate_bps,
-                c.link_prop_ps,
-                c.classes,
-                c.sched,
-            ));
-            rates.push(c.fabric_rate_bps);
-        }
-        let routing = RoutingTable::new(
-            (0..n_hosts)
-                .map(|dst| vec![(dst / hosts_per_pod) as u16])
-                .collect(),
-        );
-        switches.push(assemble_switch(
-            n_edges + n_aggs + core,
-            ports,
-            rates,
-            routing,
-            &sh,
-        ));
-    }
-    let mut w = World::new(c.sim.clone(), hosts, switches);
-    for sw in &mut w.switches {
-        sw.tier = if sw.id < n_edges {
-            0
-        } else if sw.id < n_edges + n_aggs {
-            1
-        } else {
-            2
-        };
-    }
-    // Domains: pod p owns its hosts, edges and aggregations (all
-    // intra-pod links stay domain-local); each core switch is its own
-    // domain, so agg↔core links are the only cross-domain edges
-    // alongside inter-pod traffic.
-    let host_domain = (0..n_hosts).map(|h| (h / hosts_per_pod) as u32).collect();
-    let switch_domain = (0..w.switches.len())
-        .map(|s| {
-            if s < n_edges {
-                (s / half) as u32
-            } else if s < n_edges + n_aggs {
-                ((s - n_edges) / half) as u32
-            } else {
-                (c.k + (s - n_edges - n_aggs)) as u32
+impl FabricCfg {
+    /// Rate of the links between switch tiers `tier` and `tier + 1`,
+    /// never below 1 bps. On the leaf-spine and the fat-tree every
+    /// switch link runs at `fabric_rate_bps / oversubscription`. On the
+    /// 3-tier fabric an access switch's up-links together carry
+    /// `hosts_per_access · host_rate_bps / oversubscription`, and the
+    /// aggregation–core links run at `fabric_rate_bps`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `oversubscription` is below 1.
+    pub fn link_rate_bps(&self, tier: u8) -> u64 {
+        let o = self.oversubscription;
+        assert!(o >= 1.0, "oversubscription must be ≥ 1 (got {o})");
+        let rate = match self.topo {
+            FabricTopo::ThreeTier {
+                aggs_per_pod,
+                hosts_per_access,
+                ..
+            } if tier == 0 => {
+                let down = hosts_per_access as f64 * self.host_rate_bps as f64;
+                (down / (aggs_per_pod as f64 * o)).round() as u64
             }
+            FabricTopo::ThreeTier { .. } => self.fabric_rate_bps,
+            _ => (self.fabric_rate_bps as f64 / o).round() as u64,
+        };
+        rate.max(1)
+    }
+}
+
+/// One switch's place in a fabric, from which [`fabric`] derives its
+/// ports, routes, tier and event domain.
+struct Wiring {
+    /// Tier, 0 at the bottom.
+    tier: u8,
+    /// Pod, or `None` on the top tier, which spans every pod.
+    pod: Option<usize>,
+    /// The hosts below this switch.
+    hosts: Range<usize>,
+    /// Switch ids of the down-links in port order; bottom switches
+    /// link down to their `hosts` instead.
+    down: StepBy<Range<usize>>,
+    /// Switch ids of the up-links, in port order after the down-links.
+    up: Range<usize>,
+}
+
+/// Lists every switch of `topo` in id order.
+fn wiring(topo: FabricTopo) -> Vec<Wiring> {
+    let all = 0..topo.n_hosts();
+    let none = || (0..0).step_by(1);
+    let mut w = Vec::with_capacity(topo.n_switches());
+    let mut add = |tier, pod, hosts, down, up| {
+        w.push(Wiring {
+            tier,
+            pod,
+            hosts,
+            down,
+            up,
         })
-        .collect();
-    w.domains = Some(DomainMap::new(
-        host_domain,
-        switch_domain,
-        &w.hosts,
-        &w.switches,
-    ));
+    };
+    match topo {
+        FabricTopo::LeafSpine {
+            spines,
+            leaves,
+            hosts_per_leaf: hpl,
+        } => {
+            for leaf in 0..leaves {
+                let hosts = leaf * hpl..(leaf + 1) * hpl;
+                add(0, Some(leaf), hosts, none(), leaves..leaves + spines);
+            }
+            for _ in 0..spines {
+                add(1, None, all.clone(), (0..leaves).step_by(1), 0..0);
+            }
+        }
+        FabricTopo::FatTree { k } => {
+            let half = k / 2;
+            let (edges, per_pod) = (k * half, half * half);
+            for edge in 0..edges {
+                let pod = edge / half;
+                let up = edges + pod * half..edges + (pod + 1) * half;
+                add(0, Some(pod), edge * half..(edge + 1) * half, none(), up);
+            }
+            for agg in 0..edges {
+                let (pod, group) = (agg / half, agg % half);
+                let hosts = pod * per_pod..(pod + 1) * per_pod;
+                let down = (pod * half..(pod + 1) * half).step_by(1);
+                let up = 2 * edges + group * half..2 * edges + (group + 1) * half;
+                add(1, Some(pod), hosts, down, up);
+            }
+            // Core `c` reaches each pod through that pod's aggregation
+            // switch of group `c / (k/2)`.
+            for core in 0..per_pod {
+                let down = (edges + core / half..2 * edges).step_by(half);
+                add(2, None, all.clone(), down, 0..0);
+            }
+        }
+        FabricTopo::ThreeTier {
+            pods,
+            access_per_pod: apo,
+            aggs_per_pod: gpo,
+            cores,
+            hosts_per_access: hpa,
+        } => {
+            let (access, aggs, per_pod) = (pods * apo, pods * gpo, apo * hpa);
+            for acc in 0..access {
+                let pod = acc / apo;
+                let up = access + pod * gpo..access + (pod + 1) * gpo;
+                add(0, Some(pod), acc * hpa..(acc + 1) * hpa, none(), up);
+            }
+            for agg in 0..aggs {
+                let pod = agg / gpo;
+                let hosts = pod * per_pod..(pod + 1) * per_pod;
+                let down = (pod * apo..(pod + 1) * apo).step_by(1);
+                add(
+                    1,
+                    Some(pod),
+                    hosts,
+                    down,
+                    access + aggs..access + aggs + cores,
+                );
+            }
+            for _ in 0..cores {
+                add(
+                    2,
+                    None,
+                    all.clone(),
+                    (access..access + aggs).step_by(1),
+                    0..0,
+                );
+            }
+        }
+    }
     w
 }
 
-/// Configuration of a classic 3-tier (access / aggregation / core)
-/// data-center fabric with an explicit access-layer oversubscription
-/// knob.
-#[derive(Debug, Clone)]
-pub struct ThreeTierCfg {
-    /// Pod count (a pod = one aggregation group plus its access layer).
-    pub pods: usize,
-    /// Access switches per pod.
-    pub access_per_pod: usize,
-    /// Aggregation switches per pod.
-    pub aggs_per_pod: usize,
-    /// Core switches (each connects to every aggregation switch).
-    pub cores: usize,
-    /// Hosts per access switch.
-    pub hosts_per_access: usize,
-    /// Host access-link rate.
-    pub host_rate_bps: u64,
-    /// Aggregation↔core link rate.
-    pub core_rate_bps: u64,
-    /// Access-layer oversubscription ratio: host-facing capacity over
-    /// uplink capacity. `1.0` is non-blocking; `4.0` means the uplinks
-    /// carry a quarter of the host capacity — the classic many-to-one
-    /// stress for shared-buffer schemes.
-    pub oversubscription: f64,
-    /// One-way propagation per link.
-    pub link_prop_ps: Ps,
-    /// Shared buffer per group of 8 ports.
-    pub buffer_per_8ports_bytes: u64,
-    /// Service classes per port.
-    pub classes: usize,
-    /// Buffer management.
-    pub bm: BmSpec,
-    /// Port scheduler.
-    pub sched: SchedKind,
-    /// Simulation parameters.
-    pub sim: SimConfig,
-}
-
-impl ThreeTierCfg {
-    /// Total host count.
-    pub fn n_hosts(&self) -> usize {
-        self.pods * self.access_per_pod * self.hosts_per_access
-    }
-
-    /// Total switch count.
-    pub fn n_switches(&self) -> usize {
-        self.pods * (self.access_per_pod + self.aggs_per_pod) + self.cores
-    }
-
-    /// Rate of each access→aggregation uplink, derived from the
-    /// oversubscription ratio: the `aggs_per_pod` uplinks together carry
-    /// `hosts_per_access · host_rate / oversubscription`.
-    pub fn uplink_rate_bps(&self) -> u64 {
-        assert!(
-            self.oversubscription >= 1.0,
-            "oversubscription must be ≥ 1 (got {})",
-            self.oversubscription
-        );
-        let down = self.hosts_per_access as f64 * self.host_rate_bps as f64;
-        (down / (self.aggs_per_pod as f64 * self.oversubscription)).round() as u64
-    }
-}
-
-/// Builds the 3-tier world.
+/// Builds a multi-tier fabric world.
 ///
-/// Hosts are numbered access-major; switch ids are access switches first
-/// (pod-major), then aggregations (pod-major), then cores. Every access
-/// switch uplinks to all aggregations of its pod (ECMP), every
-/// aggregation uplinks to all cores (ECMP), and cores reach a pod
-/// through any of its aggregations (ECMP) — so inter-pod traffic really
-/// traverses three tiers.
-pub fn three_tier(c: ThreeTierCfg) -> World {
-    assert!(c.pods >= 2, "need at least two pods");
-    assert!(
-        c.access_per_pod >= 1 && c.aggs_per_pod >= 1 && c.cores >= 1,
-        "need at least one switch per tier"
-    );
-    assert!(c.hosts_per_access >= 1, "need hosts");
-    let hpa = c.hosts_per_access;
-    let hosts_per_pod = c.access_per_pod * hpa;
-    let n_hosts = c.n_hosts();
-    let n_access = c.pods * c.access_per_pod;
-    let n_aggs = c.pods * c.aggs_per_pod;
-    let uplink_bps = c.uplink_rate_bps().max(1);
-    let sh = shared(&c.bm, c.sched, c.buffer_per_8ports_bytes, c.classes, &c.sim);
+/// Each switch's ports are its down-links (to hosts on the bottom tier)
+/// and then its up-links, in [`FabricTopo`]'s id order. Routing is
+/// shortest-path ECMP ([`RoutingTable`] hashes the flow id, §6.4): a
+/// switch routes a host down every link whose subtree holds it, and
+/// otherwise up every up-link. For the parallel executor, a pod's hosts
+/// and switches share one event domain and each top-tier switch gets
+/// its own, so every cross-domain link touches the top tier or an
+/// inter-pod path.
+///
+/// # Panics
+///
+/// Panics with [`FabricTopo::check`]'s message when the shape is
+/// invalid, and if `oversubscription` is below 1.
+pub fn fabric(c: FabricCfg) -> World {
+    if let Err(e) = c.topo.check() {
+        panic!("{e}");
+    }
+    let (hosts, switches, switch_domain) = hosts_and_switches(&c);
+    let host_domain = hosts
+        .iter()
+        .map(|h| switch_domain[h.link.to_switch])
+        .collect();
+    let domains = DomainMap::new(host_domain, switch_domain, &hosts, &switches);
+    let mut w = World::new(c.sim, hosts, switches);
+    w.domains = Some(domains);
+    w
+}
 
-    let hosts: Vec<Host> = (0..n_hosts)
-        .map(|h| {
-            Host::new(
-                h,
-                HostLink {
-                    to_switch: h / hpa,
+/// The hosts and switches of `c`'s fabric, with each switch's event
+/// domain: its pod's, or on the top tier one of its own.
+fn hosts_and_switches(c: &FabricCfg) -> (Vec<Host>, Vec<Switch>, Vec<u32>) {
+    let wiring = wiring(c.topo);
+    let n_hosts = c.topo.n_hosts();
+    let tier_rate = [c.link_rate_bps(0), c.link_rate_bps(1)];
+    let mut hosts = Vec::with_capacity(n_hosts);
+    let mut switches = Vec::with_capacity(wiring.len());
+    // Per destination, the run of down ports whose subtree holds it (a
+    // run, since down-links are listed in host order); empty when the
+    // destination is routed up.
+    let mut down_ports = vec![0..0; n_hosts];
+    for (s, sw) in wiring.iter().enumerate() {
+        down_ports.fill(0..0);
+        let n_down = if sw.tier == 0 {
+            sw.hosts.len()
+        } else {
+            sw.down.len()
+        };
+        let mut ports = Vec::with_capacity(n_down + sw.up.len());
+        let mut rates = Vec::with_capacity(n_down + sw.up.len());
+        let mut link = |to, rate_bps| {
+            ports.push(port(to, rate_bps, c.link_prop_ps, c.classes, c.sched));
+            rates.push(rate_bps);
+        };
+        if sw.tier == 0 {
+            for (p, h) in sw.hosts.clone().enumerate() {
+                let host_link = HostLink {
+                    to_switch: s,
                     rate_bps: c.host_rate_bps,
                     prop_ps: c.link_prop_ps,
-                },
-            )
-        })
-        .collect();
-
-    let mut switches = Vec::with_capacity(c.n_switches());
-    // Access: ports 0..hpa down to hosts, then one uplink per pod agg.
-    for acc in 0..n_access {
-        let pod = acc / c.access_per_pod;
-        let mut ports = Vec::new();
-        let mut rates = Vec::new();
-        for local in 0..hpa {
-            ports.push(port(
-                NodeId::host(acc * hpa + local),
-                c.host_rate_bps,
-                c.link_prop_ps,
-                c.classes,
-                c.sched,
-            ));
-            rates.push(c.host_rate_bps);
+                };
+                hosts.push(Host::new(h, host_link));
+                down_ports[h] = p..p + 1;
+                link(NodeId::host(h), c.host_rate_bps);
+            }
         }
-        for a in 0..c.aggs_per_pod {
-            ports.push(port(
-                NodeId::switch(n_access + pod * c.aggs_per_pod + a),
-                uplink_bps,
-                c.link_prop_ps,
-                c.classes,
-                c.sched,
-            ));
-            rates.push(uplink_bps);
+        for (p, d) in sw.down.clone().enumerate() {
+            for r in &mut down_ports[wiring[d].hosts.clone()] {
+                // Start a run, or extend one (every run ends past 0).
+                let start = if r.end == 0 { p } else { r.start };
+                *r = start..p + 1;
+            }
+            link(NodeId::switch(d), tier_rate[sw.tier as usize - 1]);
         }
-        let up: Vec<u16> = (hpa..hpa + c.aggs_per_pod).map(|p| p as u16).collect();
-        let routing = RoutingTable::new(
-            (0..n_hosts)
-                .map(|dst| {
-                    if dst / hpa == acc {
-                        vec![(dst % hpa) as u16]
-                    } else {
-                        up.clone()
-                    }
-                })
-                .collect(),
-        );
-        switches.push(assemble_switch(acc, ports, rates, routing, &sh));
-    }
-    // Aggregation: ports 0..access_per_pod down to the pod's access
-    // switches, then one uplink per core.
-    for agg in 0..n_aggs {
-        let pod = agg / c.aggs_per_pod;
-        let mut ports = Vec::new();
-        let mut rates = Vec::new();
-        for a in 0..c.access_per_pod {
-            ports.push(port(
-                NodeId::switch(pod * c.access_per_pod + a),
-                uplink_bps,
-                c.link_prop_ps,
-                c.classes,
-                c.sched,
-            ));
-            rates.push(uplink_bps);
+        for u in sw.up.clone() {
+            link(NodeId::switch(u), tier_rate[sw.tier as usize]);
         }
-        for core in 0..c.cores {
-            ports.push(port(
-                NodeId::switch(n_access + n_aggs + core),
-                c.core_rate_bps,
-                c.link_prop_ps,
-                c.classes,
-                c.sched,
-            ));
-            rates.push(c.core_rate_bps);
-        }
-        let up: Vec<u16> = (c.access_per_pod..c.access_per_pod + c.cores)
-            .map(|p| p as u16)
+        let up: Vec<u16> = (n_down..ports.len()).map(|p| p as u16).collect();
+        let routes = down_ports
+            .iter()
+            .map(|r| {
+                if r.is_empty() {
+                    up.clone()
+                } else {
+                    r.clone().map(|p| p as u16).collect()
+                }
+            })
             .collect();
-        let routing = RoutingTable::new(
-            (0..n_hosts)
-                .map(|dst| {
-                    if dst / hosts_per_pod == pod {
-                        vec![((dst / hpa) % c.access_per_pod) as u16]
-                    } else {
-                        up.clone()
-                    }
-                })
-                .collect(),
-        );
-        switches.push(assemble_switch(n_access + agg, ports, rates, routing, &sh));
+        let routing = RoutingTable::new(routes);
+        switches.push(assemble_switch(s, sw.tier, ports, rates, routing, c));
     }
-    // Core: one port per aggregation switch (agg-major); a pod is
-    // reachable through any of its aggregations.
-    for core in 0..c.cores {
-        let mut ports = Vec::new();
-        let mut rates = Vec::new();
-        for agg in 0..n_aggs {
-            ports.push(port(
-                NodeId::switch(n_access + agg),
-                c.core_rate_bps,
-                c.link_prop_ps,
-                c.classes,
-                c.sched,
-            ));
-            rates.push(c.core_rate_bps);
-        }
-        let routing = RoutingTable::new(
-            (0..n_hosts)
-                .map(|dst| {
-                    let pod = dst / hosts_per_pod;
-                    (pod * c.aggs_per_pod..(pod + 1) * c.aggs_per_pod)
-                        .map(|p| p as u16)
-                        .collect()
-                })
-                .collect(),
-        );
-        switches.push(assemble_switch(
-            n_access + n_aggs + core,
-            ports,
-            rates,
-            routing,
-            &sh,
-        ));
-    }
-    let mut w = World::new(c.sim.clone(), hosts, switches);
-    for sw in &mut w.switches {
-        sw.tier = if sw.id < n_access {
-            0
-        } else if sw.id < n_access + n_aggs {
-            1
-        } else {
-            2
-        };
-    }
-    // Domains: pod p owns its hosts, access and aggregation switches;
-    // each core switch is its own domain.
-    let host_domain = (0..n_hosts).map(|h| (h / hosts_per_pod) as u32).collect();
-    let switch_domain = (0..w.switches.len())
-        .map(|s| {
-            if s < n_access {
-                (s / c.access_per_pod) as u32
-            } else if s < n_access + n_aggs {
-                ((s - n_access) / c.aggs_per_pod) as u32
-            } else {
-                (c.pods + (s - n_access - n_aggs)) as u32
-            }
-        })
+    let pods = wiring
+        .iter()
+        .filter_map(|s| s.pod)
+        .max()
+        .map_or(0, |p| p + 1);
+    let mut top = pods..;
+    let switch_domain = wiring
+        .iter()
+        .map(|s| s.pod.or_else(|| top.next()).unwrap_or_default() as u32)
         .collect();
-    w.domains = Some(DomainMap::new(
-        host_domain,
-        switch_domain,
-        &w.hosts,
-        &w.switches,
-    ));
-    w
+    (hosts, switches, switch_domain)
 }
 
-/// The switch-assembly parameters every fabric builder shares: buffer
-/// management, scheduling, Tomahawk-style per-8-port buffer partitioning
-/// and class count.
-struct SwitchShared<'a> {
-    bm: &'a BmSpec,
-    sched: SchedKind,
-    buffer_per_8ports_bytes: u64,
-    classes: usize,
-    sim: &'a SimConfig,
-}
-
-fn shared<'a>(
-    bm: &'a BmSpec,
-    sched: SchedKind,
-    buffer_per_8ports_bytes: u64,
-    classes: usize,
-    sim: &'a SimConfig,
-) -> SwitchShared<'a> {
-    SwitchShared {
-        bm,
-        sched,
-        buffer_per_8ports_bytes,
-        classes,
-        sim,
-    }
-}
-
+/// Assembles a fabric switch, splitting its ports into Tomahawk-style
+/// buffer partitions of 8.
 fn assemble_switch(
     id: usize,
+    tier: u8,
     ports: Vec<SwitchPort>,
     rates: Vec<u64>,
     routing: RoutingTable,
-    c: &SwitchShared<'_>,
+    c: &FabricCfg,
 ) -> Switch {
     let n = ports.len();
     let mut partitions = Vec::new();
@@ -909,19 +737,19 @@ fn assemble_switch(
             port_local[p] = li;
         }
         partitions.push(build_partition(
-            c.bm,
+            &c.bm,
             c.sched,
             c.buffer_per_8ports_bytes * chunk.len() as u64 / 8,
             chunk,
             &rates,
             c.classes,
-            c.sim,
+            &c.sim,
         ));
     }
     let total_rate: u64 = rates.iter().sum();
     Switch {
         id,
-        tier: 0,
+        tier,
         ports,
         partitions,
         port_partition,
@@ -1017,9 +845,54 @@ mod tests {
         assert_eq!(sw.queue_location(0, 5), (2, 1));
     }
 
+    /// A 25 G non-blocking fabric of shape `topo`.
+    fn cfg(topo: FabricTopo) -> FabricCfg {
+        FabricCfg {
+            topo,
+            host_rate_bps: 25_000_000_000,
+            fabric_rate_bps: 25_000_000_000,
+            oversubscription: 1.0,
+            link_prop_ps: 10 * crate::time::US,
+            buffer_per_8ports_bytes: 1_000_000,
+            classes: 1,
+            bm: bm(),
+            sched: SchedKind::Fifo,
+            sim: SimConfig::large_scale(),
+        }
+    }
+
+    /// The paper's §6.4 fabric: 8 spines, 8 leaves, 16 hosts per leaf,
+    /// 100 Gbps links, 4 MB per 8 ports.
+    fn paper_leaf_spine() -> FabricCfg {
+        FabricCfg {
+            host_rate_bps: 100_000_000_000,
+            fabric_rate_bps: 100_000_000_000,
+            buffer_per_8ports_bytes: 4_000_000,
+            ..cfg(FabricTopo::LeafSpine {
+                spines: 8,
+                leaves: 8,
+                hosts_per_leaf: 16,
+            })
+        }
+    }
+
+    fn tiny_three_tier(oversubscription: f64) -> FabricCfg {
+        let topo = FabricTopo::ThreeTier {
+            pods: 2,
+            access_per_pod: 2,
+            aggs_per_pod: 2,
+            cores: 2,
+            hosts_per_access: 4,
+        };
+        FabricCfg {
+            oversubscription,
+            ..cfg(topo)
+        }
+    }
+
     #[test]
     fn leaf_spine_paper_shape() {
-        let w = leaf_spine(LeafSpineCfg::paper(bm(), SimConfig::large_scale()));
+        let w = fabric(paper_leaf_spine());
         assert_eq!(w.hosts.len(), 128);
         assert_eq!(w.switches.len(), 16);
         // Leaf: 16 down + 8 up = 24 ports → 3 partitions of 8 → 12 MB.
@@ -1028,19 +901,27 @@ mod tests {
         assert_eq!(leaf.partitions.len(), 3);
         let leaf_buf: u64 = leaf.partitions.iter().map(|p| p.state.capacity()).sum();
         assert_eq!(leaf_buf, 12_000_000);
-        // Spine: 8 ports → 1 partition → 8 MB per switch? No: 8 ports →
-        // one 4 MB partition (4 MB per 8 ports), paper says spines have
-        // 8 MB total because they count 16 ports per spine; our spines
-        // have `leaves` = 8 ports, so 4 MB.
+        // The paper's spines have 8 MB because they count 16 ports; ours
+        // have `leaves` = 8 ports → one 4 MB partition.
         let spine = &w.switches[8];
         assert_eq!(spine.ports.len(), 8);
         assert_eq!(spine.partitions.len(), 1);
         assert_eq!(spine.partitions[0].state.capacity(), 4_000_000);
+        assert_eq!((leaf.tier, spine.tier), (0, 1));
+        // Oversubscription divides every leaf–spine link.
+        let c = FabricCfg {
+            oversubscription: 4.0,
+            ..paper_leaf_spine()
+        };
+        assert_eq!(
+            [c.link_rate_bps(0), c.link_rate_bps(1)],
+            [25_000_000_000; 2]
+        );
     }
 
     #[test]
     fn leaf_routing_separates_local_and_remote() {
-        let w = leaf_spine(LeafSpineCfg::paper(bm(), SimConfig::large_scale()));
+        let w = fabric(paper_leaf_spine());
         let leaf0 = &w.switches[0];
         // Local host 3: single down port.
         assert_eq!(leaf0.routing.candidates(3), &[3]);
@@ -1051,45 +932,12 @@ mod tests {
         assert_eq!(spine0.routing.candidates(17), &[1]);
     }
 
-    fn tiny_fat_tree(k: usize) -> FatTreeCfg {
-        FatTreeCfg {
-            k,
-            host_rate_bps: 25_000_000_000,
-            fabric_rate_bps: 25_000_000_000,
-            link_prop_ps: 10 * crate::time::US,
-            buffer_per_8ports_bytes: 1_000_000,
-            classes: 1,
-            bm: bm(),
-            sched: SchedKind::Fifo,
-            sim: SimConfig::large_scale(),
-        }
-    }
-
-    fn tiny_three_tier(oversub: f64) -> ThreeTierCfg {
-        ThreeTierCfg {
-            pods: 2,
-            access_per_pod: 2,
-            aggs_per_pod: 2,
-            cores: 2,
-            hosts_per_access: 4,
-            host_rate_bps: 25_000_000_000,
-            core_rate_bps: 25_000_000_000,
-            oversubscription: oversub,
-            link_prop_ps: 10 * crate::time::US,
-            buffer_per_8ports_bytes: 1_000_000,
-            classes: 1,
-            bm: bm(),
-            sched: SchedKind::Fifo,
-            sim: SimConfig::large_scale(),
-        }
-    }
-
     #[test]
     fn fat_tree_k4_shape() {
-        let cfg = tiny_fat_tree(4);
-        assert_eq!(cfg.n_hosts(), 16);
-        assert_eq!(cfg.n_switches(), 20);
-        let w = fat_tree(cfg);
+        let topo = FabricTopo::FatTree { k: 4 };
+        assert_eq!(topo.n_hosts(), 16);
+        assert_eq!(topo.n_switches(), 20);
+        let w = fabric(cfg(topo));
         assert_eq!(w.hosts.len(), 16);
         assert_eq!(w.switches.len(), 20);
         // Every switch in a k=4 fat-tree has exactly k = 4 ports.
@@ -1113,16 +961,27 @@ mod tests {
         let core16 = &w.switches[16];
         assert_eq!(core16.ports[3].link.to, NodeId::switch(8 + 3 * 2));
         assert_eq!(core16.routing.candidates(12), &[3]);
+        let tiers: Vec<u8> = w.switches.iter().map(|s| s.tier).collect();
+        // Oversubscription divides every switch–switch link.
+        let c = FabricCfg {
+            oversubscription: 4.0,
+            ..cfg(topo)
+        };
+        assert_eq!([c.link_rate_bps(0), c.link_rate_bps(1)], [6_250_000_000; 2]);
+        assert_eq!(tiers, [&[0; 8][..], &[1; 8], &[2; 4]].concat());
     }
 
     #[test]
     fn three_tier_shape_and_oversubscription() {
-        let cfg = tiny_three_tier(4.0);
-        assert_eq!(cfg.n_hosts(), 16);
-        assert_eq!(cfg.n_switches(), 10);
-        // 4 hosts × 25 G down, ÷ (2 uplinks × 4 oversub) = 12.5 G each.
-        assert_eq!(cfg.uplink_rate_bps(), 12_500_000_000);
-        let w = three_tier(cfg);
+        let c = tiny_three_tier(4.0);
+        assert_eq!(c.topo.n_hosts(), 16);
+        assert_eq!(c.topo.n_switches(), 10);
+        // 4 hosts × 25 G down, ÷ (2 uplinks × 4 oversub) = 12.5 G each
+        // (50 G non-blocking); aggregation–core links keep the fabric rate.
+        assert_eq!(c.link_rate_bps(0), 12_500_000_000);
+        assert_eq!(tiny_three_tier(1.0).link_rate_bps(0), 50_000_000_000);
+        assert_eq!(c.link_rate_bps(1), 25_000_000_000);
+        let w = fabric(c);
         assert_eq!(w.hosts.len(), 16);
         assert_eq!(w.switches.len(), 10);
         let acc0 = &w.switches[0];
@@ -1135,25 +994,90 @@ mod tests {
         // both core up-links.
         let agg4 = &w.switches[4];
         assert_eq!(agg4.ports.len(), 4); // 2 access + 2 cores
+        assert_eq!(agg4.ports[0].link.rate_bps, 12_500_000_000);
         assert_eq!(agg4.routing.candidates(5), &[1]);
         assert_eq!(agg4.routing.candidates(8), &[2, 3]);
         // Core 8: pod 1 reachable through either of its aggs.
         let core8 = &w.switches[8];
         assert_eq!(core8.ports.len(), 4); // one per agg
         assert_eq!(core8.routing.candidates(8), &[2, 3]);
+        assert_eq!(core8.tier, 2);
     }
 
     #[test]
-    fn non_blocking_three_tier_uplinks_carry_full_rate() {
-        let cfg = tiny_three_tier(1.0);
-        // 4 hosts × 25 G ÷ 2 uplinks = 50 G per uplink.
-        assert_eq!(cfg.uplink_rate_bps(), 50_000_000_000);
+    #[should_panic(expected = "oversubscription must be ≥ 1")]
+    fn undersubscription_rejected() {
+        fabric(FabricCfg {
+            oversubscription: 0.5,
+            ..cfg(FabricTopo::FatTree { k: 2 })
+        });
     }
 
     #[test]
     #[should_panic(expected = "even")]
     fn odd_fat_tree_arity_rejected() {
-        fat_tree(tiny_fat_tree(3));
+        fabric(cfg(FabricTopo::FatTree { k: 3 }));
+    }
+
+    #[test]
+    fn domains_group_pods_and_isolate_the_top_tier() {
+        let w = fabric(tiny_three_tier(2.0));
+        let d = w.domains.as_ref().unwrap();
+        // Pods 0 and 1 own their hosts, access and aggregation
+        // switches; cores 8 and 9 get domains 2 and 3.
+        assert_eq!(d.switch_domain, [0, 0, 1, 1, 0, 0, 1, 1, 2, 3]);
+        assert_eq!(d.host_domain, [[0; 8], [1; 8]].concat());
+        assert_eq!(d.n_domains(), 4);
+    }
+
+    fn wide_leaf_spine(spines: usize) -> FabricTopo {
+        FabricTopo::LeafSpine {
+            spines,
+            leaves: 2,
+            hosts_per_leaf: 1,
+        }
+    }
+
+    #[test]
+    fn port_ids_must_fit_u16() {
+        // 1 host + 65 535 spines = 65 536 ports per leaf: ids 0..=65 535.
+        assert_eq!(wide_leaf_spine(65_535).check(), Ok(()));
+        assert_eq!(wide_leaf_spine(65_535).n_ports(0), Some(65_536));
+        let e = wide_leaf_spine(65_536).check().unwrap_err();
+        assert!(
+            e.contains("65537 ports") && e.contains("at most 65536"),
+            "{e}"
+        );
+        let three = FabricTopo::ThreeTier {
+            pods: 2,
+            access_per_pod: 1,
+            aggs_per_pod: 40_000,
+            cores: 1,
+            hosts_per_access: 1,
+        };
+        // Each core has one port per aggregation switch: 80 000.
+        assert!(three.check().unwrap_err().contains("switch 80002"));
+    }
+
+    #[test]
+    #[should_panic(expected = "has 65537 ports; port ids are u16, so a switch has at most 65536")]
+    fn fabric_rejects_port_overflow() {
+        fabric(cfg(wide_leaf_spine(65_536)));
+    }
+
+    #[test]
+    fn node_counts_must_fit_u32_without_wrapping() {
+        // k³ overflows u64: rejected, not wrapped.
+        let e = FabricTopo::FatTree { k: 4_194_304 }.check().unwrap_err();
+        assert!(e.contains("more than 4294967295 hosts or switches"), "{e}");
+        // 2 × 2³¹ hosts: fits usize, not a u32 host id.
+        let wide = FabricTopo::LeafSpine {
+            spines: 1,
+            leaves: 2,
+            hosts_per_leaf: 1 << 31,
+        };
+        assert!(wide.check().is_err());
+        assert_eq!(FabricTopo::FatTree { k: 4 }.n_ports(20), None);
     }
 
     #[test]

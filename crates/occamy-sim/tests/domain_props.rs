@@ -6,9 +6,7 @@
 //! the guarantee that `threads = 1` takes the serial path bit-for-bit.
 
 use occamy_core::BmKind;
-use occamy_sim::topology::{
-    fat_tree, leaf_spine, three_tier, BmSpec, FatTreeCfg, LeafSpineCfg, SchedKind, ThreeTierCfg,
-};
+use occamy_sim::topology::{fabric, BmSpec, FabricCfg, FabricTopo, SchedKind};
 use occamy_sim::{CcAlgo, FlowDesc, NodeId, SimConfig, World, MS, US};
 use proptest::prelude::*;
 
@@ -97,12 +95,15 @@ proptest! {
         leaves in 2usize..5,
         hosts_per_leaf in 1usize..5,
     ) {
-        let w = leaf_spine(LeafSpineCfg {
-            spines,
-            leaves,
-            hosts_per_leaf,
+        let w = fabric(FabricCfg {
+            topo: FabricTopo::LeafSpine {
+                spines,
+                leaves,
+                hosts_per_leaf,
+            },
             host_rate_bps: 25_000_000_000,
             fabric_rate_bps: 25_000_000_000,
+            oversubscription: 1.0,
             link_prop_ps: 10 * US,
             buffer_per_8ports_bytes: 1_000_000,
             classes: 1,
@@ -115,10 +116,11 @@ proptest! {
 
     #[test]
     fn fat_tree_domains_are_sound(half in 1usize..4) {
-        let w = fat_tree(FatTreeCfg {
-            k: 2 * half,
+        let w = fabric(FabricCfg {
+            topo: FabricTopo::FatTree { k: 2 * half },
             host_rate_bps: 25_000_000_000,
             fabric_rate_bps: 10_000_000_000,
+            oversubscription: 1.0,
             link_prop_ps: 10 * US,
             buffer_per_8ports_bytes: 1_000_000,
             classes: 1,
@@ -137,14 +139,16 @@ proptest! {
         cores in 1usize..4,
         hosts_per_access in 1usize..4,
     ) {
-        let w = three_tier(ThreeTierCfg {
-            pods,
-            access_per_pod,
-            aggs_per_pod,
-            cores,
-            hosts_per_access,
+        let w = fabric(FabricCfg {
+            topo: FabricTopo::ThreeTier {
+                pods,
+                access_per_pod,
+                aggs_per_pod,
+                cores,
+                hosts_per_access,
+            },
             host_rate_bps: 25_000_000_000,
-            core_rate_bps: 25_000_000_000,
+            fabric_rate_bps: 25_000_000_000,
             oversubscription: 2.0,
             link_prop_ps: 10 * US,
             buffer_per_8ports_bytes: 1_000_000,
@@ -164,10 +168,11 @@ proptest! {
         let build = |threads: usize, strip_domains: bool| {
             let mut sim = SimConfig::large_scale();
             sim.threads = threads;
-            let mut w = fat_tree(FatTreeCfg {
-                k: 2 * half,
+            let mut w = fabric(FabricCfg {
+                topo: FabricTopo::FatTree { k: 2 * half },
                 host_rate_bps: 25_000_000_000,
                 fabric_rate_bps: 25_000_000_000,
+                oversubscription: 1.0,
                 link_prop_ps: 10 * US,
                 buffer_per_8ports_bytes: 500_000,
                 classes: 1,

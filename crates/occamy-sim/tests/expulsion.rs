@@ -4,7 +4,7 @@
 
 use occamy_core::BmKind;
 use occamy_sim::topology::{
-    leaf_spine, single_switch, BmSpec, LeafSpineCfg, SchedKind, SingleSwitchCfg,
+    fabric, single_switch, BmSpec, FabricCfg, FabricTopo, SchedKind, SingleSwitchCfg,
 };
 use occamy_sim::{CbrDesc, CcAlgo, FlowDesc, SimConfig, MS, SEC, US};
 
@@ -144,10 +144,23 @@ fn expulsion_does_not_hurt_throughput() {
 #[test]
 fn ecmp_spreads_flows_across_spines() {
     // Many flows between two leaves must use all spine up-links.
-    let mut w = leaf_spine(LeafSpineCfg::paper(
-        BmSpec::uniform(BmKind::Dt, 1.0),
-        SimConfig::large_scale(),
-    ));
+    // The paper's §6.4 fabric: 8 spines, 8 leaves of 16 hosts, 100 G.
+    let mut w = fabric(FabricCfg {
+        topo: FabricTopo::LeafSpine {
+            spines: 8,
+            leaves: 8,
+            hosts_per_leaf: 16,
+        },
+        host_rate_bps: 100_000_000_000,
+        fabric_rate_bps: 100_000_000_000,
+        oversubscription: 1.0,
+        link_prop_ps: 10 * US,
+        buffer_per_8ports_bytes: 4_000_000,
+        classes: 1,
+        bm: BmSpec::uniform(BmKind::Dt, 1.0),
+        sched: SchedKind::Fifo,
+        sim: SimConfig::large_scale(),
+    });
     for i in 0..64 {
         w.add_flow(FlowDesc {
             src: i % 16,        // leaf 0

@@ -4,7 +4,7 @@
 //! interrupt still delivers exactly its bytes once the fabric heals).
 
 use occamy_core::BmKind;
-use occamy_sim::topology::{fat_tree, BmSpec, FatTreeCfg, SchedKind};
+use occamy_sim::topology::{fabric, BmSpec, FabricCfg, FabricTopo, SchedKind};
 use occamy_sim::{
     CbrDesc, CcAlgo, Drain, FaultSchedule, FlowDesc, HostChurn, LinkFlap, SimConfig, World, MS, US,
 };
@@ -19,10 +19,11 @@ fn build(threads: usize) -> World {
         threads,
         ..SimConfig::default()
     };
-    let mut w = fat_tree(FatTreeCfg {
-        k: 4,
+    let mut w = fabric(FabricCfg {
+        topo: FabricTopo::FatTree { k: 4 },
         host_rate_bps: 10_000_000_000,
         fabric_rate_bps: 10_000_000_000,
+        oversubscription: 1.0,
         link_prop_ps: 1_000_000, // 1 µs
         buffer_per_8ports_bytes: 150_000,
         classes: 2,

@@ -3,7 +3,7 @@
 
 use occamy_core::BmKind;
 use occamy_sim::topology::{
-    leaf_spine, single_switch, BmSpec, LeafSpineCfg, SchedKind, SingleSwitchCfg,
+    fabric, single_switch, BmSpec, FabricCfg, FabricTopo, SchedKind, SingleSwitchCfg,
 };
 use occamy_sim::{tx_time_ps, CbrDesc, CcAlgo, FlowDesc, SimConfig, MS, NS, SEC, US};
 
@@ -97,12 +97,16 @@ fn sampler_cadence_and_contents() {
 fn partitions_isolate_buffer_pressure() {
     // On a leaf switch with several 8-port partitions, saturating ports
     // of partition 0 must not consume partition 1's buffer.
-    let mut w = leaf_spine(LeafSpineCfg {
-        spines: 2,
-        leaves: 2,
-        hosts_per_leaf: 12, // leaf has 12 down + 2 up = 14 ports → 2 partitions
+    let mut w = fabric(FabricCfg {
+        // A leaf has 12 down + 2 up = 14 ports → 2 partitions.
+        topo: FabricTopo::LeafSpine {
+            spines: 2,
+            leaves: 2,
+            hosts_per_leaf: 12,
+        },
         host_rate_bps: G10,
         fabric_rate_bps: G10,
+        oversubscription: 1.0,
         link_prop_ps: US,
         buffer_per_8ports_bytes: 400_000,
         classes: 1,

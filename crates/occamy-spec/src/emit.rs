@@ -2,9 +2,8 @@
 //! round-trips to an identical [`SpecDoc`], which is what the spec
 //! round-trip tests pin down.
 
-use crate::model::{
-    FaultClause, Num, QuerySize, SpecDoc, SwitchArch, TableKind, TopologyKind, XpSchedSpec,
-};
+use crate::model::{FaultClause, Num, QuerySize, SpecDoc, SwitchArch, TableKind, XpSchedSpec};
+use occamy_sim::topology::FabricTopo;
 use std::fmt::Write as _;
 
 fn esc(s: &str) -> String {
@@ -58,7 +57,7 @@ impl SpecDoc {
         let _ = writeln!(w, "\n[topology]");
         let _ = writeln!(w, "kind = {}", esc(t.kind.name()));
         match &t.kind {
-            TopologyKind::LeafSpine {
+            FabricTopo::LeafSpine {
                 spines,
                 leaves,
                 hosts_per_leaf,
@@ -67,10 +66,10 @@ impl SpecDoc {
                 let _ = writeln!(w, "leaves = {leaves}");
                 let _ = writeln!(w, "hosts_per_leaf = {hosts_per_leaf}");
             }
-            TopologyKind::FatTree { k } => {
+            FabricTopo::FatTree { k } => {
                 let _ = writeln!(w, "k = {k}");
             }
-            TopologyKind::ThreeTier {
+            FabricTopo::ThreeTier {
                 pods,
                 access_per_pod,
                 aggs_per_pod,

@@ -14,8 +14,11 @@
 //!
 //! Both formats land in one order-preserving [`Value`] tree: TOML
 //! through the crate's own minimal [`toml`] reader, JSON through the
-//! workspace's `occamy_stats::Json` reader — the crate's only
-//! dependency, itself dependency-free, so the crate builds offline.
+//! workspace's `occamy_stats::Json` reader. `[topology]` parses straight
+//! into `occamy_sim::topology::FabricTopo`, the shape the fabric
+//! builder takes, and is validated by the builder's own
+//! `FabricTopo::check`. Those two workspace crates are the only
+//! dependencies, so the crate builds offline.
 //!
 //! Validation is strict and typo-friendly: every identifier is checked
 //! against the known sets and a misspelling fails with a named
@@ -35,9 +38,9 @@ mod value;
 pub use error::{Result, SpecError};
 pub use model::{
     default_alpha, AxisSpec, Background, FaultClause, Num, QuerySize, SchemesSpec, SimSpec,
-    SpecDoc, SwitchArch, TableKind, TableSpec, TelemetrySpec, TopologyKind, TopologySection,
-    TrafficSpec, XpSchedSpec, BACKGROUNDS, FAULT_KINDS, KNOBS, METRICS, SCHEMES, SWITCH_ARCHS,
-    TOPOLOGIES, XP_SCHEDS,
+    SpecDoc, SwitchArch, TableKind, TableSpec, TelemetrySpec, TopologySection, TrafficSpec,
+    XpSchedSpec, BACKGROUNDS, FAULT_KINDS, KNOBS, METRICS, SCHEMES, SWITCH_ARCHS, TOPOLOGIES,
+    XP_SCHEDS,
 };
 pub use value::Value;
 
@@ -112,6 +115,7 @@ pub fn spec_from_file_text(path: &str, text: &str) -> Result<SpecDoc> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use occamy_sim::topology::FabricTopo;
 
     /// The smallest valid JSON spec.
     const MINIMAL: &str = r#"{"name": "x", "topology": {"kind": "fat_tree"}}"#;
@@ -127,7 +131,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(doc.name, "demo");
-        assert_eq!(doc.topology.kind, TopologyKind::FatTree { k: 4 });
+        assert_eq!(doc.topology.kind, FabricTopo::FatTree { k: 4 });
         assert_eq!(doc.topology.host_rate_gbps, 25.0);
         assert_eq!(doc.topology.link_prop_us, 10.0);
         assert_eq!(doc.traffic.bg_load, 0.5);

@@ -34,6 +34,7 @@
 
 use crate::error::{Result, SpecError};
 use crate::value::Value;
+use occamy_sim::topology::FabricTopo;
 
 /// The buffer-management schemes a spec may select, with the `α` the
 /// paper evaluates each at (see `[schemes.alpha]` to override).
@@ -187,132 +188,11 @@ impl Num {
     }
 }
 
-/// The fabric shape of `[topology] kind`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TopologyKind {
-    /// Two-tier leaf-spine.
-    LeafSpine {
-        /// Spine switch count.
-        spines: usize,
-        /// Leaf switch count.
-        leaves: usize,
-        /// Hosts per leaf.
-        hosts_per_leaf: usize,
-    },
-    /// k-ary three-layer fat-tree.
-    FatTree {
-        /// Pod arity (even, ≥ 2).
-        k: usize,
-    },
-    /// Classic access/aggregation/core fabric.
-    ThreeTier {
-        /// Pod count.
-        pods: usize,
-        /// Access switches per pod.
-        access_per_pod: usize,
-        /// Aggregation switches per pod.
-        aggs_per_pod: usize,
-        /// Core switch count.
-        cores: usize,
-        /// Hosts per access switch.
-        hosts_per_access: usize,
-    },
-}
-
-impl TopologyKind {
-    /// The spec spelling of the kind.
-    pub fn name(&self) -> &'static str {
-        match self {
-            TopologyKind::LeafSpine { .. } => "leaf_spine",
-            TopologyKind::FatTree { .. } => "fat_tree",
-            TopologyKind::ThreeTier { .. } => "three_tier",
-        }
-    }
-
-    /// Total host count of the built fabric (the `occamy-sim` builders'
-    /// numbering).
-    pub fn n_hosts(&self) -> usize {
-        match *self {
-            TopologyKind::LeafSpine {
-                leaves,
-                hosts_per_leaf,
-                ..
-            } => leaves * hosts_per_leaf,
-            TopologyKind::FatTree { k } => k * k * k / 4,
-            TopologyKind::ThreeTier {
-                pods,
-                access_per_pod,
-                hosts_per_access,
-                ..
-            } => pods * access_per_pod * hosts_per_access,
-        }
-    }
-
-    /// Total switch count of the built fabric.
-    pub fn n_switches(&self) -> usize {
-        match *self {
-            TopologyKind::LeafSpine { spines, leaves, .. } => leaves + spines,
-            TopologyKind::FatTree { k } => k * k + (k / 2) * (k / 2),
-            TopologyKind::ThreeTier {
-                pods,
-                access_per_pod,
-                aggs_per_pod,
-                cores,
-                ..
-            } => pods * (access_per_pod + aggs_per_pod) + cores,
-        }
-    }
-
-    /// Egress-port count of switch `s`, following the builders' switch
-    /// numbering (leaf/edge/access switches first, then spines /
-    /// aggregations, then cores). Used to validate `[[faults]]` port
-    /// indices at load time, so a loadable spec never panics mid-run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` is outside the fabric (callers check
-    /// [`TopologyKind::n_switches`] first).
-    pub fn n_ports(&self, s: usize) -> usize {
-        assert!(s < self.n_switches(), "switch {s} outside the fabric");
-        match *self {
-            TopologyKind::LeafSpine {
-                spines,
-                leaves,
-                hosts_per_leaf,
-            } => {
-                if s < leaves {
-                    hosts_per_leaf + spines
-                } else {
-                    leaves
-                }
-            }
-            // Edge, aggregation and core switches of a k-ary fat-tree
-            // all have k ports.
-            TopologyKind::FatTree { k } => k,
-            TopologyKind::ThreeTier {
-                pods,
-                access_per_pod,
-                aggs_per_pod,
-                cores,
-                hosts_per_access,
-            } => {
-                if s < pods * access_per_pod {
-                    hosts_per_access + aggs_per_pod
-                } else if s < pods * (access_per_pod + aggs_per_pod) {
-                    access_per_pod + cores
-                } else {
-                    pods * aggs_per_pod
-                }
-            }
-        }
-    }
-}
-
 /// The `[topology]` section.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TopologySection {
-    /// Fabric shape and dimensions.
-    pub kind: TopologyKind,
+    /// Fabric shape and dimensions, checked with [`FabricTopo::check`].
+    pub kind: FabricTopo,
     /// Host access-link rate in Gbps.
     pub host_rate_gbps: f64,
     /// Switch-to-switch link rate in Gbps (before oversubscription).
@@ -585,14 +465,6 @@ fn get_usize(ctx: &str, t: &Value, key: &str, default: usize) -> Result<usize> {
     Ok(get_u64(ctx, t, key, default as u64)? as usize)
 }
 
-fn at_least(ctx: &str, key: &str, min: usize, v: usize) -> Result<usize> {
-    if v >= min {
-        Ok(v)
-    } else {
-        Err(SpecError::new(format!("'{key}' must be ≥ {min} (got {v})")).in_context(ctx))
-    }
-}
-
 fn positive(ctx: &str, key: &str, v: f64) -> Result<f64> {
     if v > 0.0 && v.is_finite() {
         Ok(v)
@@ -621,6 +493,7 @@ fn parse_topology(doc: &Value) -> Result<TopologySection> {
         "switch_arch",
         "xp_sched",
     ];
+    let dim = |key, default| get_usize(ctx, t, key, default);
     let kind = match kind_name {
         "leaf_spine" => {
             check_keys(
@@ -628,30 +501,15 @@ fn parse_topology(doc: &Value) -> Result<TopologySection> {
                 t,
                 &[COMMON, &["spines", "leaves", "hosts_per_leaf"]].concat(),
             )?;
-            // Minimums mirror the builder asserts in
-            // `occamy_sim::topology` so a loadable spec never panics
-            // mid-run.
-            TopologyKind::LeafSpine {
-                spines: at_least(ctx, "spines", 1, get_usize(ctx, t, "spines", 4)?)?,
-                leaves: at_least(ctx, "leaves", 2, get_usize(ctx, t, "leaves", 4)?)?,
-                hosts_per_leaf: at_least(
-                    ctx,
-                    "hosts_per_leaf",
-                    1,
-                    get_usize(ctx, t, "hosts_per_leaf", 8)?,
-                )?,
+            FabricTopo::LeafSpine {
+                spines: dim("spines", 4)?,
+                leaves: dim("leaves", 4)?,
+                hosts_per_leaf: dim("hosts_per_leaf", 8)?,
             }
         }
         "fat_tree" => {
             check_keys(ctx, t, &[COMMON, &["k"]].concat())?;
-            let k = get_usize(ctx, t, "k", 4)?;
-            if k < 2 || k % 2 != 0 {
-                return Err(SpecError::new(format!(
-                    "fat-tree arity 'k' must be even, ≥ 2 (got {k})"
-                ))
-                .in_context(ctx));
-            }
-            TopologyKind::FatTree { k }
+            FabricTopo::FatTree { k: dim("k", 4)? }
         }
         "three_tier" => {
             check_keys(
@@ -669,31 +527,19 @@ fn parse_topology(doc: &Value) -> Result<TopologySection> {
                 ]
                 .concat(),
             )?;
-            TopologyKind::ThreeTier {
-                pods: at_least(ctx, "pods", 2, get_usize(ctx, t, "pods", 2)?)?,
-                access_per_pod: at_least(
-                    ctx,
-                    "access_per_pod",
-                    1,
-                    get_usize(ctx, t, "access_per_pod", 2)?,
-                )?,
-                aggs_per_pod: at_least(
-                    ctx,
-                    "aggs_per_pod",
-                    1,
-                    get_usize(ctx, t, "aggs_per_pod", 2)?,
-                )?,
-                cores: at_least(ctx, "cores", 1, get_usize(ctx, t, "cores", 2)?)?,
-                hosts_per_access: at_least(
-                    ctx,
-                    "hosts_per_access",
-                    1,
-                    get_usize(ctx, t, "hosts_per_access", 4)?,
-                )?,
+            FabricTopo::ThreeTier {
+                pods: dim("pods", 2)?,
+                access_per_pod: dim("access_per_pod", 2)?,
+                aggs_per_pod: dim("aggs_per_pod", 2)?,
+                cores: dim("cores", 2)?,
+                hosts_per_access: dim("hosts_per_access", 4)?,
             }
         }
         other => return Err(SpecError::unknown("topology kind", other, TOPOLOGIES)),
     };
+    // The builder's own check, so a loadable spec never panics mid-run.
+    kind.check()
+        .map_err(|e| SpecError::new(e).in_context(ctx))?;
     let host_rate_gbps = positive(
         ctx,
         "host_rate_gbps",
@@ -1013,7 +859,7 @@ fn parse_faults(doc: &Value, topo: &TopologySection) -> Result<Vec<FaultClause>>
                 check_keys(ctx, t, &["kind", "switch", "port", "down", "up"])?;
                 let switch = check_switch(ctx, require(ctx, t, "switch")?.as_u64()?)?;
                 let port = require(ctx, t, "port")?.as_u64()?;
-                let n_ports = topo.kind.n_ports(switch as usize);
+                let n_ports = topo.kind.n_ports(switch as usize).unwrap_or(0);
                 if port as usize >= n_ports {
                     return Err(SpecError::new(format!(
                         "'port' {port} outside switch {switch} ({n_ports} ports)"
@@ -1295,7 +1141,7 @@ mod tests {
         assert_eq!(doc.seed_key, "demo");
         assert_eq!(
             doc.topology.kind,
-            TopologyKind::LeafSpine {
+            FabricTopo::LeafSpine {
                 spines: 4,
                 leaves: 4,
                 hosts_per_leaf: 8
@@ -1467,8 +1313,8 @@ metric = "qct_slowdown_avg"
 
     #[test]
     fn degenerate_dimensions_fail_at_parse_not_run() {
-        // These mirror the builder asserts in occamy-sim: a spec that
-        // loads must never panic inside the runner.
+        // These are occamy-sim's `FabricTopo::check`, which the builder
+        // asserts: a spec that loads must never panic inside the runner.
         for (toml, needle) in [
             (
                 "name = \"x\"\n[topology]\nkind = \"three_tier\"\npods = 1\n",
@@ -1486,10 +1332,22 @@ metric = "qct_slowdown_avg"
                 "name = \"x\"\n[topology]\nkind = \"three_tier\"\ncores = 0\n",
                 "'cores' must be ≥ 1",
             ),
+            // A leaf's last up-link would wrap to port 0 as a u16.
+            (
+                "name = \"x\"\n[topology]\nkind = \"leaf_spine\"\nspines = 65536\nleaves = 2\nhosts_per_leaf = 1\n",
+                "has 65537 ports; port ids are u16, so a switch has at most 65536",
+            ),
+            (
+                "name = \"x\"\n[topology]\nkind = \"fat_tree\"\nk = 4194304\n",
+                "more than 4294967295 hosts or switches",
+            ),
         ] {
             let e = SpecDoc::from_value(&crate::toml::parse(toml).unwrap()).unwrap_err();
             assert!(e.message().contains(needle), "{toml}: {e}");
         }
+        let widest = "name = \"x\"\n[topology]\nkind = \"leaf_spine\"\nspines = 65535\nleaves = 2\nhosts_per_leaf = 1\n";
+        let doc = SpecDoc::from_value(&crate::toml::parse(widest).unwrap()).unwrap();
+        assert_eq!(doc.topology.kind.n_ports(0), Some(65_536));
     }
 
     #[test]

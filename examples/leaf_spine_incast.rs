@@ -1,13 +1,14 @@
 //! A leaf-spine datacenter running incast queries over web-search
 //! background traffic — the paper's §6.4 environment in miniature.
 //!
-//! Builds a 32-host fabric with ECMP, injects a 60%-loaded web-search
-//! background plus Poisson incast queries, and compares query-completion
-//! slowdowns across all four evaluated BM schemes.
+//! Builds a 32-host leaf-spine with the ECMP fabric builder
+//! (`topology::fabric`), injects a 60%-loaded web-search background
+//! plus Poisson incast queries, and compares query-completion slowdowns
+//! across all four evaluated BM schemes.
 //!
 //! Run with: `cargo run --release --example leaf_spine_incast`
 
-use occamy::sim::topology::{leaf_spine, BmSpec, LeafSpineCfg, SchedKind};
+use occamy::sim::topology::{fabric, BmSpec, FabricCfg, FabricTopo, SchedKind};
 use occamy::sim::{CcAlgo, FlowDesc, SimConfig, MS, US};
 use occamy::stats::{FlowClass, Summary};
 use occamy::traffic::{web_search, BackgroundWorkload, QueryWorkload, TrafficClass};
@@ -21,12 +22,15 @@ fn run(kind: BmKind, alpha: f64) -> (Summary, Summary, u64) {
         min_rto: 5 * MS,
         ..SimConfig::default()
     };
-    let mut world = leaf_spine(LeafSpineCfg {
-        spines: 4,
-        leaves: 4,
-        hosts_per_leaf: 8,
+    let mut world = fabric(FabricCfg {
+        topo: FabricTopo::LeafSpine {
+            spines: 4,
+            leaves: 4,
+            hosts_per_leaf: 8,
+        },
         host_rate_bps: 25_000_000_000,
         fabric_rate_bps: 25_000_000_000,
+        oversubscription: 1.0,
         link_prop_ps: 10 * US,
         buffer_per_8ports_bytes: 1_000_000,
         classes: 1,

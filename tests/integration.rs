@@ -5,7 +5,7 @@
 use occamy::core::{BmKind, BufferManager, Occamy, QueueConfig, Verdict};
 use occamy::hw::TrafficManager;
 use occamy::sim::topology::{
-    leaf_spine, single_switch, BmSpec, LeafSpineCfg, SchedKind, SingleSwitchCfg,
+    fabric, single_switch, BmSpec, FabricCfg, FabricTopo, SchedKind, SingleSwitchCfg,
 };
 use occamy::sim::{CcAlgo, FlowDesc, SimConfig, MS, SEC, US};
 use occamy::stats::FlowClass;
@@ -16,12 +16,15 @@ use rand::SeedableRng;
 const G25: u64 = 25_000_000_000;
 
 fn scaled_leaf_spine(kind: BmKind, alpha: f64) -> occamy::sim::World {
-    leaf_spine(LeafSpineCfg {
-        spines: 2,
-        leaves: 2,
-        hosts_per_leaf: 4,
+    fabric(FabricCfg {
+        topo: FabricTopo::LeafSpine {
+            spines: 2,
+            leaves: 2,
+            hosts_per_leaf: 4,
+        },
         host_rate_bps: G25,
         fabric_rate_bps: G25,
+        oversubscription: 1.0,
         link_prop_ps: 10 * US,
         buffer_per_8ports_bytes: 1_000_000,
         classes: 1,
