@@ -85,7 +85,7 @@ fn arm_fire(flows: u64) -> u64 {
     for f in 0..flows {
         // Deadlines spread over 5–45 ms like a PTO/RTO population.
         let at = 5 * MS + (f * 7 % 40) * MS;
-        q.push_timer(at, Event::Rto { flow: f as u32 });
+        q.push(at, Event::Rto { flow: f as u32 });
     }
     let mut fired = 0;
     while q.pop().is_some() {
@@ -100,14 +100,14 @@ fn arm_fire(flows: u64) -> u64 {
 fn rearm_cycle(rounds: u64) -> u64 {
     let mut q = EventQueue::new();
     let mut fired = 0;
-    q.push_timer(5 * MS, Event::Rto { flow: 0 });
+    q.push(5 * MS, Event::Rto { flow: 0 });
     for _ in 0..rounds {
         let Some((t, _)) = q.pop() else { break };
         let now = t;
         fired += 1;
         // Deadline moved forward by ACK activity: resleep (the
         // cancel-equivalent of the soft-timer protocol).
-        q.push_timer(now + 5 * MS, Event::Rto { flow: 0 });
+        q.push(now + 5 * MS, Event::Rto { flow: 0 });
     }
     fired
 }

@@ -8,10 +8,10 @@
 //! [`FabricScenario`] runs the §6.4 figures (fig07, fig17–fig23 start
 //! from [`FabricScenario::paper_leaf_spine`]), the transport baseline
 //! and every `occamy-spec` document (see [`crate::spec_scenario`]): the
-//! spec front-end binds `[topology]`, `[traffic]` and `[schemes]`
-//! sections onto this struct and the grid axes mutate its knobs per
-//! cell. Because a spec and a figure run the same builder, a spec that
-//! recreates a registry scenario's grid reproduces its tables
+//! spec front-end writes each cell's grid values into its document and
+//! binds the `[topology]`, `[traffic]` and `[schemes]` sections onto
+//! this struct. Because a spec and a figure run the same builder, a
+//! spec that recreates a registry scenario's grid reproduces its tables
 //! bit-for-bit.
 
 use crate::report::{aggregate, IdealFct, RunResult};
@@ -163,12 +163,11 @@ impl FabricScenario {
         world
     }
 
-    /// Builds, injects, runs and aggregates, also returning the world.
-    pub fn run_world(&self) -> (World, RunResult) {
-        let mut world = self.build();
-        crate::apply_sim_threads(&mut world);
+    /// Injects the workload ([`inject_fabric_workload`]) and schedules
+    /// the faults into a world from [`FabricScenario::build`].
+    pub fn inject(&self, world: &mut World) {
         inject_fabric_workload(
-            &mut world,
+            world,
             self.n_hosts(),
             self.host_rate_bps,
             &self.bg,
@@ -178,7 +177,14 @@ impl FabricScenario {
             self.duration_ps,
             self.seed,
         );
-        self.faults.apply(&mut world, self.duration_ps);
+        self.faults.apply(world, self.duration_ps);
+    }
+
+    /// Builds, injects, runs and aggregates, also returning the world.
+    pub fn run_world(&self) -> (World, RunResult) {
+        let mut world = self.build();
+        crate::apply_sim_threads(&mut world);
+        self.inject(&mut world);
         world.run_to_completion(self.duration_ps + self.drain_ps);
         let flows = world.flow_records();
         let result = aggregate(

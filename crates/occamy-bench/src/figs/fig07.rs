@@ -18,17 +18,18 @@ use crate::scenario::{
 };
 use crate::scenarios::BgPattern;
 use occamy_core::BmKind;
-use occamy_stats::{Cdf, Table};
+use occamy_stats::{Summary, Table};
 
 /// Registry entry for paper Fig. 7.
 pub struct Fig07;
 
-const QUANTILES: [(f64, &str); 5] = [
-    (0.25, "p25"),
-    (0.50, "p50"),
-    (0.75, "p75"),
-    (0.90, "p90"),
-    (0.99, "p99"),
+/// Nearest-rank percentiles reported per series, with their labels.
+const PERCENTILES: [(f64, &str); 5] = [
+    (25.0, "p25"),
+    (50.0, "p50"),
+    (75.0, "p75"),
+    (90.0, "p90"),
+    (99.0, "p99"),
 ];
 
 impl Scenario for Fig07 {
@@ -73,12 +74,9 @@ impl Scenario for Fig07 {
             ("buf", &world.metrics.drop_buffer_util),
             ("bw", &world.metrics.drop_membw_util),
         ] {
-            let mut cdf = Cdf::new();
-            for &u in samples {
-                cdf.add(u);
-            }
-            for (q, label) in QUANTILES {
-                result = result.metric_opt(&format!("{prefix}_{label}"), cdf.quantile(q));
+            let mut utils = Summary::from_samples(samples.clone());
+            for (p, label) in PERCENTILES {
+                result = result.metric_opt(&format!("{prefix}_{label}"), utils.percentile(p));
             }
         }
         result
@@ -91,7 +89,7 @@ impl Scenario for Fig07 {
                 label.to_string(),
                 format!("{}", o.result.get("drops").unwrap_or(0.0) as u64),
             ];
-            for (_, q) in QUANTILES {
+            for (_, q) in PERCENTILES {
                 row.push(
                     o.result
                         .get(&format!("{prefix}_{q}"))

@@ -13,7 +13,8 @@
 //! ~1 MB at 10 Gbps (~0.8 ms); we report milliseconds.
 
 use crate::scenario::{CellOutcome, CellResult, CellSpec, Grid, Report, Scale, Scenario, Series};
-use crate::scenarios::{bm_kind_by_name, CbrTestbed};
+use crate::scenarios::CbrTestbed;
+use occamy_core::BmKind;
 use occamy_sim::{ps_to_ms, CbrDesc, MS, US};
 use occamy_stats::Table;
 
@@ -44,7 +45,7 @@ impl Scenario for Fig11 {
     }
 
     fn run(&self, cell: &CellSpec) -> CellResult {
-        let kind = bm_kind_by_name(cell.str("scheme")).expect("known scheme");
+        let kind = BmKind::from_name(cell.str("scheme")).expect("known scheme");
         let tb = CbrTestbed::paper_p4(kind, cell.f64("alpha"));
         let horizon = if cell.scale == Scale::Smoke {
             5 * MS

@@ -10,7 +10,8 @@
 use crate::scenario::{
     distinct, find, CellOutcome, CellResult, CellSpec, Grid, Report, Scale, Scenario, Value,
 };
-use crate::scenarios::{bm_kind_by_name, CbrTestbed};
+use crate::scenarios::CbrTestbed;
+use occamy_core::BmKind;
 use occamy_sim::{CbrDesc, MS};
 use occamy_stats::Table;
 
@@ -39,7 +40,7 @@ impl Scenario for Fig12 {
     }
 
     fn run(&self, cell: &CellSpec) -> CellResult {
-        let kind = bm_kind_by_name(cell.str("scheme")).expect("known scheme");
+        let kind = BmKind::from_name(cell.str("scheme")).expect("known scheme");
         let tb = CbrTestbed::paper_p4(kind, cell.f64("alpha"));
         let mut w = tb.build();
         // Long-lived traffic entrenches queue 1 (toward host 2) from t=0.

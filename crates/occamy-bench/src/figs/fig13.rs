@@ -13,7 +13,8 @@ use crate::figs::scale_testbed;
 use crate::scenario::{
     matrix_table, CellOutcome, CellResult, CellSpec, Grid, Report, Scale, Scenario,
 };
-use crate::scenarios::{evaluated_scheme_names, scheme_by_name, TestbedScenario};
+use crate::scenarios::TestbedScenario;
+use occamy_core::BmKind;
 
 /// Registry entry for paper Fig. 13.
 pub struct Fig13;
@@ -35,12 +36,13 @@ impl Scenario for Fig13 {
         };
         Grid::new("fig13", scale)
             .axis("query_pct_buffer", sizes)
-            .axis("scheme", evaluated_scheme_names())
+            .axis("scheme", BmKind::EVALUATED.map(BmKind::name))
             .build()
     }
 
     fn run(&self, cell: &CellSpec) -> CellResult {
-        let (kind, alpha) = scheme_by_name(cell.str("scheme")).expect("evaluated scheme");
+        let kind = BmKind::from_name(cell.str("scheme")).expect("evaluated scheme");
+        let alpha = kind.paper_alpha();
         let bytes = 410_000 * cell.u64("query_pct_buffer") / 100;
         let mut sc = TestbedScenario::paper_dpdk(kind, alpha).with_query_bytes(bytes);
         sc.seed = cell.seed;
@@ -73,7 +75,7 @@ impl Scenario for Fig13 {
             "Shape check: columns ordered {:?}; expect Occamy ≈ Pushout \
              to beat ABM and DT on (a)/(b), with (c) roughly flat across \
              schemes.",
-            evaluated_scheme_names()
+            BmKind::EVALUATED.map(BmKind::name)
         ))
     }
 }

@@ -12,7 +12,8 @@ use crate::figs::scale_testbed;
 use crate::scenario::{
     matrix_table, CellOutcome, CellResult, CellSpec, Grid, Report, Scale, Scenario,
 };
-use crate::scenarios::{evaluated_scheme_names, scheme_by_name, TestbedBg, TestbedScenario};
+use crate::scenarios::{TestbedBg, TestbedScenario};
+use occamy_core::BmKind;
 use occamy_sim::topology::SchedKind;
 use occamy_sim::CcAlgo;
 
@@ -36,12 +37,13 @@ impl Scenario for Fig14 {
         };
         Grid::new("fig14", scale)
             .axis("bg_load_pct", loads)
-            .axis("scheme", evaluated_scheme_names())
+            .axis("scheme", BmKind::EVALUATED.map(BmKind::name))
             .build()
     }
 
     fn run(&self, cell: &CellSpec) -> CellResult {
-        let (kind, alpha) = scheme_by_name(cell.str("scheme")).expect("evaluated scheme");
+        let kind = BmKind::from_name(cell.str("scheme")).expect("evaluated scheme");
+        let alpha = kind.paper_alpha();
         let mut sc = TestbedScenario::paper_dpdk(kind, alpha).with_query_bytes(328_000); // 80% of buffer
         sc.classes = 2;
         sc.alpha_per_class = vec![alpha; 2];
@@ -82,7 +84,7 @@ impl Scenario for Fig14 {
             .note(format!(
                 "Shape check: columns {:?}; expect DT (and to a lesser degree \
                  ABM) p99 to blow up with load while Occamy/Pushout stay low.",
-                evaluated_scheme_names()
+                BmKind::EVALUATED.map(BmKind::name)
             ))
     }
 }

@@ -2,7 +2,10 @@
 //!
 //! Two *priority* queues per port (strict priority): high-priority query
 //! flows (α = 8 for every scheme) and low-priority CUBIC background
-//! (α = 1). Both classes congest the same receiver port. Ideally the LP
+//! (α = 1). Both classes congest the same receiver port: host 0 is the
+//! client of every query (`TestbedScenario::query_client`) and the
+//! receiver of every background flow (`TestbedScenario::bg_dst`; the
+//! background flows host 0 would send are dropped). Ideally the LP
 //! background should not affect HP QCT at all.
 //!
 //! Paper shape: with background, DT's average QCT inflates up to ~6.6×
@@ -14,13 +17,39 @@ use crate::report::fmt;
 use crate::scenario::{
     distinct, find, CellOutcome, CellResult, CellSpec, Grid, Report, Scale, Scenario, Value,
 };
-use crate::scenarios::{evaluated_scheme_names, scheme_by_name, TestbedBg, TestbedScenario};
+use crate::scenarios::{TestbedBg, TestbedScenario};
+use occamy_core::BmKind;
 use occamy_sim::topology::SchedKind;
 use occamy_sim::CcAlgo;
 use occamy_stats::Table;
 
 /// Registry entry for paper Fig. 15.
 pub struct Fig15;
+
+/// The testbed of one cell.
+fn testbed(cell: &CellSpec) -> TestbedScenario {
+    let kind = BmKind::from_name(cell.str("scheme")).expect("evaluated scheme");
+    let bytes = 410_000 * cell.u64("query_pct_buffer") / 100;
+    let mut sc = TestbedScenario::paper_dpdk(kind, 8.0).with_query_bytes(bytes);
+    sc.classes = 2;
+    // HP α = 8 for all schemes, LP α = 1 (paper §6.2).
+    sc.alpha_per_class = vec![8.0, 1.0];
+    sc.sched = SchedKind::StrictPriority;
+    sc.query_class = 0;
+    // The paper congests both priority queues at the SAME port: one
+    // host receives every query and all the background (§6.2).
+    sc.query_client = Some(0);
+    sc.bg_dst = Some(0);
+    sc.qps_per_host *= 4.0; // one client instead of eight: keep query count up
+    sc.bg = (cell.str("bg") == "with").then_some(TestbedBg {
+        load: 0.5,
+        cc: CcAlgo::Cubic,
+        class: 1,
+    });
+    sc.seed = cell.seed;
+    scale_testbed(&mut sc, cell.scale);
+    sc
+}
 
 impl Scenario for Fig15 {
     fn name(&self) -> &'static str {
@@ -39,37 +68,17 @@ impl Scenario for Fig15 {
         };
         Grid::new("fig15", scale)
             .axis("query_pct_buffer", sizes)
-            .axis("scheme", evaluated_scheme_names())
+            .axis("scheme", BmKind::EVALUATED.map(BmKind::name))
             .axis("bg", ["without", "with"])
             .build()
     }
 
     fn run(&self, cell: &CellSpec) -> CellResult {
-        let (kind, _) = scheme_by_name(cell.str("scheme")).expect("evaluated scheme");
-        let bytes = 410_000 * cell.u64("query_pct_buffer") / 100;
-        let mut sc = TestbedScenario::paper_dpdk(kind, 8.0).with_query_bytes(bytes);
-        sc.classes = 2;
-        // HP α = 8 for all schemes, LP α = 1 (paper §6.2).
-        sc.alpha_per_class = vec![8.0, 1.0];
-        sc.sched = SchedKind::StrictPriority;
-        sc.query_class = 0;
-        // The paper congests both priority queues at the SAME port: one
-        // host receives every query and all the background (§6.2).
-        sc.query_client = Some(0);
-        sc.bg_dst = Some(0);
-        sc.qps_per_host *= 4.0; // one client instead of eight: keep query count up
-        sc.bg = (cell.str("bg") == "with").then_some(TestbedBg {
-            load: 0.5,
-            cc: CcAlgo::Cubic,
-            class: 1,
-        });
-        sc.seed = cell.seed;
-        scale_testbed(&mut sc, cell.scale);
-        sc.run().into_cell()
+        testbed(cell).run().into_cell()
     }
 
     fn emit(&self, outcomes: &[CellOutcome]) -> Report {
-        let schemes = evaluated_scheme_names();
+        let schemes = BmKind::EVALUATED.map(BmKind::name);
         let mut cols: Vec<String> = vec!["query_pct_buffer".into()];
         for n in &schemes {
             cols.push(format!("{n}_no_bg"));
@@ -125,5 +134,32 @@ impl Scenario for Fig15 {
                 "Shape check: DT degrades {worst_dt:.1}x with background (paper: up \
                  to ~6.6x avg); Occamy degrades {worst_occamy:.1}x (paper: ~none)."
             ))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_flow_goes_to_the_congested_host() {
+        for cell in Fig15.grid(Scale::Smoke) {
+            let sc = testbed(&cell);
+            let mut world = sc.build();
+            sc.inject(&mut world);
+            let flows = &world.flows.hot;
+            assert!(flows.iter().all(|f| f.dst == 0), "{}", cell.label());
+            assert!(flows.iter().all(|f| f.src != 0), "{}", cell.label());
+            let background = world.flows.cold.iter().filter(|c| !c.is_query).count();
+            match cell.str("bg") {
+                "with" => assert!(background > 0, "{}", cell.label()),
+                _ => assert_eq!(background, 0, "{}", cell.label()),
+            }
+            assert!(
+                world.flows.cold.iter().any(|c| c.is_query),
+                "{}",
+                cell.label()
+            );
+        }
     }
 }

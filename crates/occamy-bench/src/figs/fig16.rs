@@ -11,7 +11,8 @@ use crate::figs::scale_testbed;
 use crate::scenario::{
     matrix_table, CellOutcome, CellResult, CellSpec, Grid, Report, Scale, Scenario,
 };
-use crate::scenarios::{bm_kind_by_name, TestbedBg, TestbedScenario};
+use crate::scenarios::{TestbedBg, TestbedScenario};
+use occamy_core::BmKind;
 use occamy_sim::topology::SchedKind;
 use occamy_sim::CcAlgo;
 
@@ -41,7 +42,7 @@ impl Scenario for Fig16 {
     }
 
     fn run(&self, cell: &CellSpec) -> CellResult {
-        let kind = bm_kind_by_name(cell.str("scheme")).expect("known scheme");
+        let kind = BmKind::from_name(cell.str("scheme")).expect("known scheme");
         let alpha = cell.f64("alpha");
         let bytes = 410_000 * cell.u64("query_pct_buffer") / 100;
         let mut sc = TestbedScenario::paper_dpdk(kind, alpha).with_query_bytes(bytes);

@@ -14,7 +14,7 @@ use crate::fabric::{scale_fabric, FabricScenario};
 use crate::scenario::{
     find, matrix_table, CellOutcome, CellResult, CellSpec, Grid, Report, Scale, Scenario, Value,
 };
-use crate::scenarios::{evaluated_scheme_names, scheme_by_name};
+use occamy_core::BmKind;
 
 /// Registry entry for paper Fig. 17.
 pub struct Fig17;
@@ -36,12 +36,13 @@ impl Scenario for Fig17 {
         };
         Grid::new("fig17", scale)
             .axis("query_pct_buffer", sizes)
-            .axis("scheme", evaluated_scheme_names())
+            .axis("scheme", BmKind::EVALUATED.map(BmKind::name))
             .build()
     }
 
     fn run(&self, cell: &CellSpec) -> CellResult {
-        let (kind, alpha) = scheme_by_name(cell.str("scheme")).expect("evaluated scheme");
+        let kind = BmKind::from_name(cell.str("scheme")).expect("evaluated scheme");
+        let alpha = kind.paper_alpha();
         let mut sc = FabricScenario::paper_leaf_spine(kind, alpha);
         sc.query_bytes = sc.buffer_per_8ports * cell.u64("query_pct_buffer") / 100;
         sc.seed = cell.seed;

@@ -11,7 +11,8 @@ use crate::fabric::{scale_fabric, FabricScenario};
 use crate::scenario::{
     matrix_table, CellOutcome, CellResult, CellSpec, Grid, Report, Scale, Scenario,
 };
-use crate::scenarios::{evaluated_scheme_names, scheme_by_name, BgPattern};
+use crate::scenarios::BgPattern;
+use occamy_core::BmKind;
 
 /// Registry entry for paper Fig. 18.
 pub struct Fig18;
@@ -33,12 +34,13 @@ impl Scenario for Fig18 {
         };
         Grid::new("fig18", scale)
             .axis("flow_size", sizes)
-            .axis("scheme", evaluated_scheme_names())
+            .axis("scheme", BmKind::EVALUATED.map(BmKind::name))
             .build()
     }
 
     fn run(&self, cell: &CellSpec) -> CellResult {
-        let (kind, alpha) = scheme_by_name(cell.str("scheme")).expect("evaluated scheme");
+        let kind = BmKind::from_name(cell.str("scheme")).expect("evaluated scheme");
+        let alpha = kind.paper_alpha();
         let mut sc = FabricScenario::paper_leaf_spine(kind, alpha);
         sc.bg = BgPattern::AllToAll {
             flow_bytes: cell.u64("flow_size"),
@@ -75,7 +77,7 @@ impl Scenario for Fig18 {
             .note(format!(
                 "Shape check: columns {:?}; Occamy ≈ Pushout should lead on \
                  both panels, most visibly at mid flow sizes.",
-                evaluated_scheme_names()
+                BmKind::EVALUATED.map(BmKind::name)
             ))
     }
 }

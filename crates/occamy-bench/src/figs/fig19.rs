@@ -12,7 +12,8 @@ use crate::fabric::{scale_fabric, FabricScenario};
 use crate::scenario::{
     matrix_table, CellOutcome, CellResult, CellSpec, Grid, Report, Scale, Scenario,
 };
-use crate::scenarios::{evaluated_scheme_names, scheme_by_name, BgPattern};
+use crate::scenarios::BgPattern;
+use occamy_core::BmKind;
 
 /// Registry entry for paper Fig. 19.
 pub struct Fig19;
@@ -34,12 +35,13 @@ impl Scenario for Fig19 {
         };
         Grid::new("fig19", scale)
             .axis("flow_size", sizes)
-            .axis("scheme", evaluated_scheme_names())
+            .axis("scheme", BmKind::EVALUATED.map(BmKind::name))
             .build()
     }
 
     fn run(&self, cell: &CellSpec) -> CellResult {
-        let (kind, alpha) = scheme_by_name(cell.str("scheme")).expect("evaluated scheme");
+        let kind = BmKind::from_name(cell.str("scheme")).expect("evaluated scheme");
+        let alpha = kind.paper_alpha();
         let mut sc = FabricScenario::paper_leaf_spine(kind, alpha);
         sc.bg = BgPattern::AllReduce {
             flow_bytes: cell.u64("flow_size"),
@@ -76,7 +78,7 @@ impl Scenario for Fig19 {
             .note(format!(
                 "Shape check: columns {:?}; Occamy ≈ Pushout should lead, \
                  with the gap to DT largest among the four schemes.",
-                evaluated_scheme_names()
+                BmKind::EVALUATED.map(BmKind::name)
             ))
     }
 }

@@ -13,7 +13,8 @@ use crate::fabric::{scale_fabric, FabricScenario};
 use crate::scenario::{
     matrix_table, CellOutcome, CellResult, CellSpec, Grid, Report, Scale, Scenario,
 };
-use crate::scenarios::{evaluated_scheme_names, scheme_by_name, BgPattern};
+use crate::scenarios::BgPattern;
+use occamy_core::BmKind;
 
 /// Registry entry for paper Fig. 20.
 pub struct Fig20;
@@ -35,12 +36,13 @@ impl Scenario for Fig20 {
         };
         Grid::new("fig20", scale)
             .axis("query_load_pct", loads)
-            .axis("scheme", evaluated_scheme_names())
+            .axis("scheme", BmKind::EVALUATED.map(BmKind::name))
             .build()
     }
 
     fn run(&self, cell: &CellSpec) -> CellResult {
-        let (kind, alpha) = scheme_by_name(cell.str("scheme")).expect("evaluated scheme");
+        let kind = BmKind::from_name(cell.str("scheme")).expect("evaluated scheme");
+        let alpha = kind.paper_alpha();
         let mut sc = FabricScenario::paper_leaf_spine(kind, alpha);
         sc.bg = BgPattern::WebSearch { load: 0.1 };
         sc.query_bytes = sc.buffer_per_8ports * 80 / 100;
@@ -83,7 +85,7 @@ impl Scenario for Fig20 {
             .note(format!(
                 "Shape check: columns {:?}; Occamy/Pushout lead most at low \
                  loads; panel (b) roughly flat across schemes.",
-                evaluated_scheme_names()
+                BmKind::EVALUATED.map(BmKind::name)
             ))
     }
 }

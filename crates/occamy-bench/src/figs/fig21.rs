@@ -13,7 +13,8 @@ use crate::fabric::{scale_fabric, FabricScenario};
 use crate::scenario::{
     distinct, find, CellOutcome, CellResult, CellSpec, Grid, Report, Scale, Scenario, Value,
 };
-use crate::scenarios::{bm_kind_by_name, BgPattern};
+use crate::scenarios::BgPattern;
+use occamy_core::BmKind;
 use occamy_stats::Table;
 
 /// Registry entry for paper Fig. 21.
@@ -41,7 +42,7 @@ impl Scenario for Fig21 {
     }
 
     fn run(&self, cell: &CellSpec) -> CellResult {
-        let kind = bm_kind_by_name(cell.str("variant")).expect("known variant");
+        let kind = BmKind::from_name(cell.str("variant")).expect("known variant");
         let mut sc = FabricScenario::paper_leaf_spine(kind, 8.0);
         sc.bg = BgPattern::WebSearch { load: 0.4 };
         sc.query_bytes = sc.buffer_per_8ports * cell.u64("query_pct_buffer") / 100;

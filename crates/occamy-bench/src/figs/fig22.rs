@@ -9,7 +9,8 @@ use crate::fabric::{scale_fabric, FabricScenario};
 use crate::scenario::{
     matrix_table, CellOutcome, CellResult, CellSpec, Grid, Report, Scale, Scenario,
 };
-use crate::scenarios::{evaluated_scheme_names, scheme_by_name, BgPattern};
+use crate::scenarios::BgPattern;
+use occamy_core::BmKind;
 
 /// Registry entry for paper Fig. 22.
 pub struct Fig22;
@@ -31,12 +32,13 @@ impl Scenario for Fig22 {
         };
         Grid::new("fig22", scale)
             .axis("query_pct_buffer", sizes)
-            .axis("scheme", evaluated_scheme_names())
+            .axis("scheme", BmKind::EVALUATED.map(BmKind::name))
             .build()
     }
 
     fn run(&self, cell: &CellSpec) -> CellResult {
-        let (kind, alpha) = scheme_by_name(cell.str("scheme")).expect("evaluated scheme");
+        let kind = BmKind::from_name(cell.str("scheme")).expect("evaluated scheme");
+        let alpha = kind.paper_alpha();
         let mut sc = FabricScenario::paper_leaf_spine(kind, alpha);
         sc.bg = BgPattern::WebSearch { load: 1.2 };
         sc.query_bytes = sc.buffer_per_8ports * cell.u64("query_pct_buffer") / 100;
@@ -77,7 +79,7 @@ impl Scenario for Fig22 {
         report.note(format!(
             "Shape check: columns {:?}; Occamy must keep an edge over \
              DT/ABM even with the fabric overloaded (paper §6.4, Fig. 22).",
-            evaluated_scheme_names()
+            BmKind::EVALUATED.map(BmKind::name)
         ))
     }
 }

@@ -11,7 +11,8 @@ use crate::fabric::{scale_fabric, FabricScenario};
 use crate::scenario::{
     matrix_table, CellOutcome, CellResult, CellSpec, Grid, Report, Scale, Scenario,
 };
-use crate::scenarios::{evaluated_scheme_names, scheme_by_name, BgPattern};
+use crate::scenarios::BgPattern;
+use occamy_core::BmKind;
 
 /// Registry entry for paper Fig. 23.
 pub struct Fig23;
@@ -34,12 +35,13 @@ impl Scenario for Fig23 {
         };
         Grid::new("fig23", scale)
             .axis("KB_per_port_per_Gbps", sizes)
-            .axis("scheme", evaluated_scheme_names())
+            .axis("scheme", BmKind::EVALUATED.map(BmKind::name))
             .build()
     }
 
     fn run(&self, cell: &CellSpec) -> CellResult {
-        let (kind, alpha) = scheme_by_name(cell.str("scheme")).expect("evaluated scheme");
+        let kind = BmKind::from_name(cell.str("scheme")).expect("evaluated scheme");
+        let alpha = kind.paper_alpha();
         let mut sc = FabricScenario::paper_leaf_spine(kind, alpha);
         sc.bg = BgPattern::WebSearch { load: 0.4 };
         // Buffer per 8 ports = 8 × rate_Gbps × KB-per-port-per-Gbps.
@@ -83,7 +85,7 @@ impl Scenario for Fig23 {
         report.note(format!(
             "Shape check: columns {:?}; Occamy should lead DT at every \
              buffer size, shrinking QCT slowdown by roughly a third or more.",
-            evaluated_scheme_names()
+            BmKind::EVALUATED.map(BmKind::name)
         ))
     }
 }

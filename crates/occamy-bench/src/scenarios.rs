@@ -178,13 +178,23 @@ impl TestbedScenario {
         })
     }
 
-    /// Injects background and query traffic into `world`.
+    /// Injects background and query traffic into `world`: background
+    /// first, then queries over `[warmup, duration)` with `warmup =
+    /// duration / 10`, from one RNG seeded with `seed`. `bg_dst` sends
+    /// every background flow to one host and drops the flows that host
+    /// would send; `query_client` draws every query at one client.
     pub fn inject(&self, world: &mut World) {
         let mut rng = StdRng::seed_from_u64(self.seed);
         if let Some(bg) = self.bg {
             let wl =
                 BackgroundWorkload::new(self.n_hosts, self.host_rate_bps, bg.load, web_search());
-            for f in wl.generate(self.duration_ps, &mut rng) {
+            for mut f in wl.generate(self.duration_ps, &mut rng) {
+                if let Some(dst) = self.bg_dst {
+                    if f.src == dst {
+                        continue;
+                    }
+                    f.dst = dst;
+                }
                 world.add_flow(spec_to_flow(&f, bg.class, bg.cc, 0));
             }
         }
@@ -195,7 +205,12 @@ impl TestbedScenario {
             self.query_bytes,
             self.qps_per_host,
         );
-        for q in qw.generate(self.duration_ps - warmup, &mut rng) {
+        let window = self.duration_ps - warmup;
+        let queries = match self.query_client {
+            Some(client) => qw.generate_for_client(client, window, &mut rng),
+            None => qw.generate(window, &mut rng),
+        };
+        for q in queries {
             for f in &q.responses {
                 world.add_flow(spec_to_flow(f, self.query_class, CcAlgo::Dctcp, warmup));
             }
@@ -262,8 +277,10 @@ pub fn inject_fabric_workload(
         }
         BgPattern::AllToAll { flow_bytes, load } => {
             // One round sends (n−1)·flow_bytes per host; pace rounds
-            // so the offered per-host load matches `load`.
-            let per_host = (n as u64 - 1) * flow_bytes;
+            // so the offered per-host load matches `load`. The byte
+            // products saturate: a spec's flow may be up to u64::MAX
+            // bytes, and such a round is simply never repeated.
+            let per_host = (n as u64 - 1).saturating_mul(*flow_bytes);
             let interval = (per_host as f64 * 8.0 / (load * link_rate_bps as f64) * 1e12) as Ps;
             let mut t = 0;
             while t < duration_ps {
@@ -277,9 +294,12 @@ pub fn inject_fabric_workload(
             // Each round moves ≤ 2·flow_bytes up and down per rank
             // (two trees); the busiest host link carries ~4 flows.
             let dbt = occamy_traffic::DoubleBinaryTree::new(n);
-            let per_host = 4 * flow_bytes;
+            let per_host = flow_bytes.saturating_mul(4);
             let interval = (per_host as f64 * 8.0 / (load * link_rate_bps as f64) * 1e12) as Ps;
-            let bcast_off = (flow_bytes * 8).saturating_mul(1_000_000_000_000) / link_rate_bps;
+            let bcast_off = flow_bytes
+                .saturating_mul(8)
+                .saturating_mul(1_000_000_000_000)
+                / link_rate_bps;
             let mut t = 0;
             while t < duration_ps {
                 for f in dbt.flows(*flow_bytes, t, bcast_off) {
@@ -374,48 +394,6 @@ impl CbrTestbed {
     }
 }
 
-/// The four schemes of the paper's end-to-end comparison, with their
-/// evaluated `α` values (§6.2): Occamy 8, ABM 2, DT 1, Pushout (no α).
-pub fn evaluated_schemes() -> Vec<(BmKind, f64, &'static str)> {
-    vec![
-        (BmKind::Occamy, 8.0, "Occamy"),
-        (BmKind::Abm, 2.0, "ABM"),
-        (BmKind::Dt, 1.0, "DT"),
-        (BmKind::Pushout, 1.0, "Pushout"),
-    ]
-}
-
-/// The scheme names of [`evaluated_schemes`], in table-column order.
-pub fn evaluated_scheme_names() -> Vec<&'static str> {
-    evaluated_schemes().iter().map(|s| s.2).collect()
-}
-
-/// Resolves an evaluated scheme by its display name, returning the
-/// `(kind, α)` pair the paper uses for it.
-pub fn scheme_by_name(name: &str) -> Option<(BmKind, f64)> {
-    evaluated_schemes()
-        .into_iter()
-        .find(|(_, _, n)| *n == name)
-        .map(|(kind, alpha, _)| (kind, alpha))
-}
-
-/// Resolves any buffer-management kind by display name (superset of
-/// [`scheme_by_name`], for scenarios that sweep `α` themselves).
-pub fn bm_kind_by_name(name: &str) -> Option<BmKind> {
-    Some(match name {
-        "Occamy" => BmKind::Occamy,
-        "OccamyLongest" => BmKind::OccamyLongest,
-        "DT" => BmKind::Dt,
-        "ABM" => BmKind::Abm,
-        "Pushout" => BmKind::Pushout,
-        "Static" => BmKind::Static,
-        "CompleteSharing" => BmKind::CompleteSharing,
-        "BShare" => BmKind::BShare,
-        "DAMQ" => BmKind::Damq,
-        _ => return None,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -435,28 +413,6 @@ mod tests {
         let s = TestbedScenario::paper_dpdk(BmKind::Dt, 1.0).with_query_bytes(82_000);
         let load = s.qps_per_host * 82_000.0 * 8.0 / 10e9;
         assert!((load - 0.01).abs() < 1e-6);
-    }
-
-    #[test]
-    fn evaluated_schemes_match_paper() {
-        let s = evaluated_schemes();
-        assert_eq!(s.len(), 4);
-        assert_eq!(s[0].1, 8.0);
-        assert_eq!(s[1].1, 2.0);
-    }
-
-    #[test]
-    fn scheme_lookup_roundtrips() {
-        for (kind, alpha, name) in evaluated_schemes() {
-            assert_eq!(scheme_by_name(name), Some((kind, alpha)));
-            assert_eq!(bm_kind_by_name(name), Some(kind));
-        }
-        assert_eq!(scheme_by_name("OccamyLongest"), None);
-        assert_eq!(
-            bm_kind_by_name("OccamyLongest"),
-            Some(BmKind::OccamyLongest)
-        );
-        assert_eq!(bm_kind_by_name("nope"), None);
     }
 
     #[test]

@@ -16,12 +16,14 @@ use crate::fabric::{scale_fabric, FabricScenario};
 use crate::scenario::{
     matrix_table, CellOutcome, CellResult, CellSpec, Grid, Report, Scale, Scenario, Value,
 };
-use crate::scenarios::{bm_kind_by_name, BgPattern};
+use crate::scenarios::BgPattern;
 use occamy_core::{BmKind, BmTuning};
 use occamy_sim::{Drain, FaultSchedule, HostChurn, LinkFlap, Ps, SimConfig, XpSched, MS, US};
 use occamy_spec::{
-    AxisSpec, Background, FaultClause, Num, QuerySize, SpecDoc, SwitchArch, TableKind, XpSchedSpec,
+    AxisSpec, Background, FaultClause, Num, QuerySize, SpecDoc, SwitchArch, TableKind, TableSpec,
+    XpSchedSpec,
 };
+use occamy_stats::Table;
 
 /// A registry-compatible scenario compiled from a spec document.
 ///
@@ -57,42 +59,12 @@ impl SpecScenario {
         }))
     }
 
-    /// Loads, parses and validates a `.toml` / `.json` spec file.
+    /// Loads and parses a `.toml` / `.json` spec file; parsing runs
+    /// every value rule (`SpecDoc::check`).
     pub fn load(path: &str) -> Result<&'static SpecScenario, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
         let doc =
             occamy_spec::spec_from_file_text(path, &text).map_err(|e| format!("{path}: {e}"))?;
-        // Semantic checks the pure data model can't make: axis values
-        // must keep the scenario buildable at every grid cell.
-        for axis in &doc.grid {
-            for v in axis
-                .full
-                .iter()
-                .chain(axis.quick.iter())
-                .chain(axis.smoke.iter())
-            {
-                let f = v.as_f64();
-                // Inverted comparisons so NaN axis values are rejected
-                // rather than slipping past a `<` check.
-                let ok = f.is_finite()
-                    && match axis.knob.as_str() {
-                        "oversubscription" | "duration_ms" | "query_fanout" | "bg_flow_kb" => {
-                            f >= 1.0
-                        }
-                        // Must stay a positive delay after µs → ns.
-                        "bshare_delay_us" => f >= 0.001,
-                        // Permille split must keep both halves non-empty.
-                        "damq_reserve_frac" => (0.001..=0.999).contains(&f),
-                        _ => f >= 0.0,
-                    };
-                if !ok {
-                    return Err(format!(
-                        "{path}: [grid] {}: value {f} is out of range",
-                        axis.knob
-                    ));
-                }
-            }
-        }
         Ok(Self::new(doc))
     }
 
@@ -109,29 +81,76 @@ impl SpecScenario {
         self.doc.to_toml()
     }
 
-    /// The base scenario (before grid-axis overrides) for `scheme`.
-    fn base_scenario(&self, scheme: &str) -> FabricScenario {
-        let t = &self.doc.topology;
-        // The pseudo-scheme "Crosspoint" (or `[topology] switch_arch =
-        // "crosspoint"`) swaps the switch architecture: crosspoint cells
-        // get statically partitioned per-(input, output) buffers, so the
+    /// The fabric scenario of one grid cell: the cell's axis values
+    /// written into a copy of the document (`SpecDoc::set_knob`), bound
+    /// by [`SpecScenario::base_scenario`], seeded and scaled.
+    pub fn scenario(&self, cell: &CellSpec) -> FabricScenario {
+        let scheme = cell.str("scheme");
+        let mut doc = self.doc.clone();
+        for axis in &self.doc.grid {
+            let value = match cell.get(&axis.knob) {
+                Some(Value::U64(v)) => Num::Int(*v),
+                Some(Value::F64(v)) => Num::Float(*v),
+                other => panic!("axis '{}' has no numeric value: {other:?}", axis.knob),
+            };
+            doc.set_knob(&axis.knob, value, scheme)
+                .expect("SpecDoc::check accepted every axis value");
+        }
+        let mut sc = Self::base_scenario(&doc, scheme);
+        sc.seed = cell.seed;
+        scale_fabric(&mut sc, cell.scale);
+        sc
+    }
+
+    /// The report of a spec without `[[emit]]` tables: the two headline
+    /// matrices (QCT and background-FCT slowdown) over the first grid
+    /// axis, or with no axis the per-scheme headline ranking.
+    fn default_tables(&self) -> Vec<TableSpec> {
+        let name = self.name;
+        let Some(first) = self.doc.grid.first() else {
+            return vec![TableSpec {
+                kind: TableKind::Ranking,
+                title: format!("{name}: headline metrics"),
+                rows: String::new(),
+                cols: String::new(),
+                metric: String::new(),
+                csv: Some(format!("{name}.csv")),
+            }];
+        };
+        ["qct_slowdown_avg", "bg_slowdown_avg"]
+            .map(|metric| TableSpec {
+                kind: TableKind::Matrix,
+                title: format!("{name}: {metric}"),
+                rows: first.knob.clone(),
+                cols: "scheme".to_string(),
+                metric: metric.to_string(),
+                csv: Some(format!("{name}_{metric}.csv")),
+            })
+            .to_vec()
+    }
+
+    /// Binds a checked document onto [`FabricScenario`] for `scheme`: the
+    /// only place a spec value becomes a scenario field.
+    fn base_scenario(doc: &SpecDoc, scheme: &str) -> FabricScenario {
+        let t = &doc.topology;
+        let xp_sched = match t.xp_sched {
+            XpSchedSpec::RoundRobin => XpSched::RoundRobin,
+            XpSchedSpec::Longest => XpSched::Longest,
+        };
+        // A scheme name that is no `BmKind` is the pseudo-scheme
+        // "Crosspoint": it swaps the switch architecture, as `[topology]
+        // switch_arch = "crosspoint"` does for every scheme. Crosspoint
+        // buffers are statically partitioned per (input, output), so the
         // buffer manager is irrelevant (CompleteSharing over partitions
         // that stay empty).
-        let crosspoint = if scheme == "Crosspoint" || t.switch_arch == SwitchArch::Crosspoint {
-            Some(match t.xp_sched {
-                XpSchedSpec::RoundRobin => XpSched::RoundRobin,
-                XpSchedSpec::Longest => XpSched::Longest,
-            })
-        } else {
-            None
+        let (bm, crosspoint) = match BmKind::from_name(scheme) {
+            Some(bm) => (
+                bm,
+                (t.switch_arch == SwitchArch::Crosspoint).then_some(xp_sched),
+            ),
+            None => (BmKind::CompleteSharing, Some(xp_sched)),
         };
-        let bm = if scheme == "Crosspoint" {
-            BmKind::CompleteSharing
-        } else {
-            bm_kind_by_name(scheme)
-                .unwrap_or_else(|| unreachable!("spec validation admits only known schemes"))
-        };
-        let tr = &self.doc.traffic;
+        let tr = &doc.traffic;
         let buffer_per_8ports = t.buffer_per_8ports_kb * 1_000;
         let flow_bytes = tr.bg_flow_kb * 1_000;
         let bg = match tr.background {
@@ -158,7 +177,7 @@ impl SpecScenario {
             QuerySize::PctBuffer(pct) => buffer_per_8ports * pct / 100,
         };
         let mut faults = FaultSchedule::default();
-        for f in &self.doc.faults {
+        for f in &doc.faults {
             match *f {
                 FaultClause::LinkFlap {
                     switch,
@@ -185,12 +204,15 @@ impl SpecScenario {
                 }
             }
         }
-        let s = &self.doc.sim;
+        let (s, sc) = (&doc.sim, &doc.schemes);
         FabricScenario {
             topo: t.kind,
             bm,
-            alpha: self.doc.schemes.alpha_for(scheme),
-            tuning: BmTuning::default(),
+            alpha: sc.alpha_for(scheme),
+            tuning: BmTuning {
+                bshare_delay_ns: (sc.bshare_delay_us * 1000.0).round() as u64,
+                damq_reserve_permille: (sc.damq_reserve_frac * 1000.0).round() as u32,
+            },
             host_rate_bps: gbps(t.host_rate_gbps),
             fabric_rate_bps: gbps(t.fabric_rate_gbps),
             oversubscription: t.oversubscription,
@@ -208,7 +230,7 @@ impl SpecScenario {
                 min_rto: s.min_rto_ms * MS,
                 mss: s.mss as u32,
                 expel_rate_factor: s.expel_rate_factor,
-                threads: (s.threads as usize).max(1),
+                threads: s.threads as usize,
                 ..SimConfig::default()
             },
             faults,
@@ -219,62 +241,6 @@ impl SpecScenario {
 
 fn gbps(rate: f64) -> u64 {
     (rate * 1e9).round() as u64
-}
-
-/// Applies one grid-axis value onto the scenario. The knob list mirrors
-/// `occamy_spec::KNOBS`; unknown knobs are unreachable past validation.
-fn apply_knob(sc: &mut FabricScenario, knob: &str, value: &Value) {
-    let as_f64 = |v: &Value| match v {
-        Value::U64(x) => *x as f64,
-        Value::F64(x) => *x,
-        Value::Str(s) => panic!("axis '{knob}' got non-numeric value '{s}'"),
-    };
-    let as_u64 = |v: &Value| match v {
-        Value::U64(x) => *x,
-        Value::F64(x) => x.round() as u64,
-        Value::Str(s) => panic!("axis '{knob}' got non-numeric value '{s}'"),
-    };
-    match knob {
-        "bg_load" => {
-            let load = match &mut sc.bg {
-                BgPattern::None => return,
-                BgPattern::WebSearch { load } => load,
-                BgPattern::AllToAll { load, .. } => load,
-                BgPattern::AllReduce { load, .. } => load,
-                BgPattern::Permutation { load, .. } => load,
-            };
-            *load = as_f64(value);
-        }
-        "bg_flow_kb" => {
-            let bytes = as_u64(value) * 1_000;
-            match &mut sc.bg {
-                BgPattern::AllToAll { flow_bytes, .. }
-                | BgPattern::AllReduce { flow_bytes, .. }
-                | BgPattern::Permutation { flow_bytes, .. } => *flow_bytes = bytes,
-                _ => {}
-            }
-        }
-        "perm_shift" => {
-            if let BgPattern::Permutation { shift, .. } = &mut sc.bg {
-                *shift = as_u64(value) as usize;
-            }
-        }
-        "query_pct_buffer" => match value {
-            Value::U64(pct) => sc.query_bytes = sc.buffer_per_8ports * pct / 100,
-            _ => sc.query_bytes = (sc.buffer_per_8ports as f64 * as_f64(value) / 100.0) as u64,
-        },
-        "query_bytes" => sc.query_bytes = as_u64(value),
-        "query_fanout" => sc.query_fanout = as_u64(value) as usize,
-        "qps_per_host" => sc.qps_per_host = as_f64(value),
-        "oversubscription" => sc.oversubscription = as_f64(value),
-        "duration_ms" => sc.duration_ps = as_u64(value) * MS,
-        "alpha" => sc.alpha = as_f64(value),
-        "bshare_delay_us" => sc.tuning.bshare_delay_ns = (as_f64(value) * 1000.0).round() as u64,
-        "damq_reserve_frac" => {
-            sc.tuning.damq_reserve_permille = (as_f64(value) * 1000.0).round() as u32
-        }
-        other => unreachable!("spec validation admits only known knobs, got '{other}'"),
-    }
 }
 
 fn axis_values(axis: &AxisSpec, scale: Scale) -> Vec<Value> {
@@ -319,59 +285,49 @@ impl Scenario for SpecScenario {
     }
 
     fn run(&self, cell: &CellSpec) -> CellResult {
-        let mut sc = self.base_scenario(cell.str("scheme"));
-        for axis in &self.doc.grid {
-            apply_knob(
-                &mut sc,
-                &axis.knob,
-                cell.get(&axis.knob).expect("axis value present in cell"),
-            );
-        }
-        sc.seed = cell.seed;
-        scale_fabric(&mut sc, cell.scale);
-        let (world, result) = sc.run_world();
+        let (world, result) = self.scenario(cell).run_world();
         crate::report::with_par_metrics(result.into_cell(), &world)
     }
 
     fn emit(&self, outcomes: &[CellOutcome]) -> Report {
-        let mut report = Report::new();
-        if self.doc.emit.is_empty() {
-            // Default report: the two headline matrices (QCT and
-            // background-FCT slowdown) over the first declared axis.
-            if let Some(first) = self.doc.grid.first() {
-                for metric in ["qct_slowdown_avg", "bg_slowdown_avg"] {
-                    report = self.emit_sliced(
-                        report,
-                        outcomes,
-                        &format!("{}: {metric}", self.name),
-                        &first.knob,
-                        "scheme",
-                        metric,
-                        Some(&format!("{}_{metric}.csv", self.name)),
-                    );
-                }
-            } else {
-                // Scheme-only grid: one row per scheme, headline columns.
-                let t = ranking_table(&format!("{}: headline metrics", self.name), outcomes);
-                report = report.table_csv(t, &format!("{}.csv", self.name));
-            }
+        let defaults;
+        let tables = if self.doc.emit.is_empty() {
+            defaults = self.default_tables();
+            &defaults
         } else {
-            for ts in &self.doc.emit {
-                report = match ts.kind {
-                    TableKind::Ranking => {
-                        self.emit_ranking(report, outcomes, &ts.title, ts.csv.as_deref())
+            &self.doc.emit
+        };
+        let knobs = self.doc.grid.iter().map(|a| a.knob.as_str());
+        let mut report = Report::new();
+        for ts in tables {
+            let (title, csv) = (&ts.title, ts.csv.as_deref());
+            report = match ts.kind {
+                // One ranking per combination of the grid axes (the
+                // schemes are its rows). When the grid collapses to a
+                // single combination (smoke/quick scales typically pin
+                // tuning knobs to one value), the title and CSV name
+                // stay unsuffixed, so the headline `results/<name>.csv`
+                // a grid-less spec would produce survives the addition
+                // of tuning axes byte-compatibly.
+                TableKind::Ranking => {
+                    let residual: Vec<&str> = knobs.clone().collect();
+                    emit_slices(report, outcomes, &residual, true, title, csv, ranking_table)
+                }
+                // One matrix per combination of the other axes, the
+                // implicit scheme axis included when it is neither rows
+                // nor cols.
+                TableKind::Matrix => {
+                    let (rows, cols) = (ts.rows.as_str(), ts.cols.as_str());
+                    let mut residual: Vec<&str> =
+                        knobs.clone().filter(|k| *k != rows && *k != cols).collect();
+                    if rows != "scheme" && cols != "scheme" {
+                        residual.push("scheme");
                     }
-                    TableKind::Matrix => self.emit_sliced(
-                        report,
-                        outcomes,
-                        &ts.title,
-                        &ts.rows,
-                        &ts.cols,
-                        &ts.metric,
-                        ts.csv.as_deref(),
-                    ),
-                };
-            }
+                    emit_slices(report, outcomes, &residual, false, title, csv, |t, o| {
+                        matrix_table(t, o, rows, cols, &ts.metric)
+                    })
+                }
+            };
         }
         report
     }
@@ -380,7 +336,7 @@ impl Scenario for SpecScenario {
 /// The per-scheme headline table: one row per scheme (in sweep order),
 /// the headline-metric columns — the default report of a grid-less spec
 /// and the body of every `kind = "ranking"` emit table.
-fn ranking_table(title: &str, outcomes: &[CellOutcome]) -> occamy_stats::Table {
+fn ranking_table(title: &str, outcomes: &[CellOutcome]) -> Table {
     let metrics = [
         "qct_avg_ms",
         "qct_slowdown_avg",
@@ -390,7 +346,7 @@ fn ranking_table(title: &str, outcomes: &[CellOutcome]) -> occamy_stats::Table {
     ];
     let mut cols = vec!["scheme"];
     cols.extend(metrics);
-    let mut t = occamy_stats::Table::new(title, &cols);
+    let mut t = Table::new(title, &cols);
     for o in outcomes {
         let mut row = vec![o.spec.str("scheme").to_string()];
         row.extend(metrics.iter().map(|m| o.result.fmt(m)));
@@ -399,143 +355,66 @@ fn ranking_table(title: &str, outcomes: &[CellOutcome]) -> occamy_stats::Table {
     t
 }
 
-impl SpecScenario {
-    /// Emits one rows × cols matrix per *slice* of the remaining grid
-    /// axes. A 2-D table can only show two of the grid's dimensions;
-    /// any other axis (including the implicit scheme axis) would
-    /// otherwise silently collapse to its first value inside
-    /// [`matrix_table`]'s first-match lookup — so instead every
-    /// residual-axis combination gets its own table, suffixed with the
-    /// fixed values (`… [bg_load=0.9]`), and no cell's result is
-    /// dropped from the report.
-    /// Emits one ranking table per combination of the grid axes (scheme
-    /// excluded — it's the table's rows). When the grid collapses to a
-    /// single combination (smoke/quick scales typically pin tuning
-    /// knobs to one value), the title and CSV name stay unsuffixed, so
-    /// the headline `results/<name>.csv` a grid-less spec would produce
-    /// survives the addition of tuning axes byte-compatibly.
-    fn emit_ranking(
-        &self,
-        mut report: Report,
-        outcomes: &[CellOutcome],
-        title: &str,
-        csv: Option<&str>,
-    ) -> Report {
-        let residual: Vec<&str> = self.doc.grid.iter().map(|a| a.knob.as_str()).collect();
-        let mut combos: Vec<Vec<(&str, Value)>> = Vec::new();
-        for o in outcomes {
-            let combo: Vec<(&str, Value)> = residual
-                .iter()
-                .map(|k| (*k, o.spec.get(k).expect("axis value present").clone()))
-                .collect();
-            if !combos.contains(&combo) {
-                combos.push(combo);
-            }
-        }
-        let single = combos.len() <= 1;
-        for combo in &combos {
-            let slice: Vec<CellOutcome> = outcomes
-                .iter()
-                .filter(|o| combo.iter().all(|(k, v)| o.spec.get(k) == Some(v)))
-                .cloned()
-                .collect();
-            let suffix = combo
-                .iter()
-                .map(|(k, v)| format!("{k}={v}"))
-                .collect::<Vec<_>>()
-                .join(" ");
-            let full_title = if single || suffix.is_empty() {
-                title.to_string()
-            } else {
-                format!("{title} [{suffix}]")
-            };
-            let table = ranking_table(&full_title, &slice);
-            report = match csv {
-                Some(csv) if single || suffix.is_empty() => report.table_csv(table, csv),
-                Some(csv) => {
-                    let tag: String = suffix
-                        .chars()
-                        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-                        .collect();
-                    let csv = match csv.strip_suffix(".csv") {
-                        Some(stem) => format!("{stem}_{tag}.csv"),
-                        None => format!("{csv}_{tag}"),
-                    };
-                    report.table_csv(table, &csv)
-                }
-                None => report.table(table),
-            };
-        }
-        report
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn emit_sliced(
-        &self,
-        mut report: Report,
-        outcomes: &[CellOutcome],
-        title: &str,
-        rows: &str,
-        cols: &str,
-        metric: &str,
-        csv: Option<&str>,
-    ) -> Report {
-        let mut residual: Vec<&str> = self
-            .doc
-            .grid
+/// Adds one table per *slice* of `outcomes`: each distinct combination
+/// of the `residual` axes' values, in grid order. A 2-D table shows
+/// only two of the grid's dimensions, and any other axis would
+/// otherwise collapse to its first value inside the table's
+/// first-match lookup; slicing keeps every cell's result in the
+/// report. A slice's title gets the fixed values as a ` [k=v …]`
+/// suffix and its CSV name the same values as a `_k_v…` tag, except
+/// when there is no residual axis — or, with `plain_if_single`, only
+/// one combination — which keeps the given title and CSV name.
+fn emit_slices(
+    mut report: Report,
+    outcomes: &[CellOutcome],
+    residual: &[&str],
+    plain_if_single: bool,
+    title: &str,
+    csv: Option<&str>,
+    table: impl Fn(&str, &[CellOutcome]) -> Table,
+) -> Report {
+    let mut combos: Vec<Vec<(&str, &Value)>> = Vec::new();
+    for o in outcomes {
+        let combo: Vec<(&str, &Value)> = residual
             .iter()
-            .map(|a| a.knob.as_str())
-            .filter(|k| *k != rows && *k != cols)
+            .map(|k| (*k, o.spec.get(k).expect("axis value present")))
             .collect();
-        if rows != "scheme" && cols != "scheme" {
-            residual.push("scheme");
+        if !combos.contains(&combo) {
+            combos.push(combo);
         }
-        // Distinct residual-value combinations, in grid order.
-        let mut combos: Vec<Vec<(&str, Value)>> = Vec::new();
-        for o in outcomes {
-            let combo: Vec<(&str, Value)> = residual
-                .iter()
-                .map(|k| (*k, o.spec.get(k).expect("axis value present").clone()))
-                .collect();
-            if !combos.contains(&combo) {
-                combos.push(combo);
-            }
-        }
-        for combo in &combos {
-            let slice: Vec<CellOutcome> = outcomes
-                .iter()
-                .filter(|o| combo.iter().all(|(k, v)| o.spec.get(k) == Some(v)))
-                .cloned()
-                .collect();
-            let suffix = combo
-                .iter()
-                .map(|(k, v)| format!("{k}={v}"))
-                .collect::<Vec<_>>()
-                .join(" ");
-            let full_title = if suffix.is_empty() {
-                title.to_string()
-            } else {
-                format!("{title} [{suffix}]")
-            };
-            let table = matrix_table(&full_title, &slice, rows, cols, metric);
-            report = match csv {
-                Some(csv) if suffix.is_empty() => report.table_csv(table, csv),
-                Some(csv) => {
-                    let tag: String = suffix
-                        .chars()
-                        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-                        .collect();
-                    let csv = match csv.strip_suffix(".csv") {
-                        Some(stem) => format!("{stem}_{tag}.csv"),
-                        None => format!("{csv}_{tag}"),
-                    };
-                    report.table_csv(table, &csv)
-                }
-                None => report.table(table),
-            };
-        }
-        report
     }
+    let plain = plain_if_single && combos.len() <= 1;
+    for combo in &combos {
+        let slice: Vec<CellOutcome> = outcomes
+            .iter()
+            .filter(|o| combo.iter().all(|&(k, v)| o.spec.get(k) == Some(v)))
+            .cloned()
+            .collect();
+        let suffix = combo
+            .iter()
+            .map(|(k, v)| format!("{k}={v}"))
+            .collect::<Vec<_>>()
+            .join(" ");
+        let (title, csv) = if plain || suffix.is_empty() {
+            (title.to_string(), csv.map(str::to_string))
+        } else {
+            let tag: String = suffix
+                .chars()
+                .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
+                .collect();
+            let csv = csv.map(|csv| match csv.strip_suffix(".csv") {
+                Some(stem) => format!("{stem}_{tag}.csv"),
+                None => format!("{csv}_{tag}"),
+            });
+            (format!("{title} [{suffix}]"), csv)
+        };
+        let t = table(&title, &slice);
+        report = match csv {
+            Some(csv) => report.table_csv(t, &csv),
+            None => report.table(t),
+        };
+    }
+    report
 }
 
 #[cfg(test)]
@@ -586,35 +465,11 @@ query_pct_buffer = { full = [20, 60, 100], quick = [40, 100], smoke = [40] }
     }
 
     #[test]
-    fn knobs_apply_onto_the_scenario() {
-        let s = spec(
-            "name = \"x\"\n[topology]\nkind = \"three_tier\"\n[traffic]\nbackground = \"permutation\"\n",
-        );
-        let mut sc = s.base_scenario("Occamy");
-        assert_eq!(sc.alpha, 8.0);
-        apply_knob(&mut sc, "oversubscription", &Value::F64(4.0));
-        assert_eq!(sc.oversubscription, 4.0);
-        apply_knob(&mut sc, "query_pct_buffer", &Value::U64(80));
-        assert_eq!(sc.query_bytes, sc.buffer_per_8ports * 80 / 100);
-        apply_knob(&mut sc, "bg_load", &Value::F64(0.25));
-        apply_knob(&mut sc, "bg_flow_kb", &Value::U64(64));
-        apply_knob(&mut sc, "perm_shift", &Value::U64(3));
-        match &sc.bg {
-            BgPattern::Permutation {
-                flow_bytes,
-                load,
-                shift,
-            } => {
-                assert_eq!(*flow_bytes, 64_000);
-                assert_eq!(*load, 0.25);
-                assert_eq!(*shift, 3);
-            }
-            other => panic!("unexpected bg {other:?}"),
-        }
-        apply_knob(&mut sc, "duration_ms", &Value::U64(7));
-        assert_eq!(sc.duration_ps, 7 * MS);
-        apply_knob(&mut sc, "alpha", &Value::F64(2.0));
-        assert_eq!(sc.alpha, 2.0);
+    fn default_tuning_binds_to_the_schemes_own_constants() {
+        let s = spec("name = \"x\"\n[topology]\nkind = \"fat_tree\"\n");
+        let cell = &s.grid(Scale::Full)[0];
+        assert_eq!(s.scenario(cell).tuning, BmTuning::default());
+        assert_eq!(s.scenario(cell).alpha, 8.0, "Occamy's paper alpha");
     }
 
     #[test]
@@ -672,6 +527,9 @@ csv = "slice_test.csv"
         )
         .unwrap();
         let e = SpecScenario::load(path.to_str().unwrap()).unwrap_err();
-        assert!(e.contains("out of range"), "{e}");
+        assert!(
+            e.contains("[grid] oversubscription: [topology]: 'oversubscription' must be"),
+            "{e}"
+        );
     }
 }

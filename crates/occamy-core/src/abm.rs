@@ -167,25 +167,6 @@ impl BufferManager for Abm {
         self.drain[q].record(len, now_ns);
     }
 
-    fn on_dequeue_many(
-        &mut self,
-        q: QueueId,
-        len: u64,
-        count: u64,
-        now_ns: u64,
-        state: &BufferState,
-    ) {
-        // Bit-exact with `count` single records (see
-        // `RateEstimator::record_many`), but the repeated same-timestamp
-        // sample is priced once instead of per packet.
-        if count > 0 {
-            self.now_ns = now_ns;
-            let new_len = state.queue_len(q);
-            self.track_crossing(q, new_len + len * count, new_len);
-        }
-        self.drain[q].record_many(len, count, now_ns);
-    }
-
     fn select_victim(&mut self, _state: &BufferState) -> Option<QueueId> {
         None
     }
@@ -200,41 +181,6 @@ mod tests {
     use super::*;
 
     const GBPS_10: u64 = 10_000_000_000;
-
-    /// The batched dequeue hook must be indistinguishable — to the bit —
-    /// from the per-packet loop, including through the `AnyBm` dispatch
-    /// the simulator actually calls. Each instance drives its own
-    /// `BufferState` because hooks observe the post-mutation state (the
-    /// congested-count cache depends on it).
-    #[test]
-    fn batched_dequeue_matches_loop_bit_exactly() {
-        use crate::{AnyBm, BmKind};
-        let mk = || BmKind::Abm.build(QueueConfig::uniform(2, GBPS_10, 2.0));
-        let (mut a, mut b): (AnyBm, AnyBm) = (mk(), mk());
-        let mut sa = BufferState::new(1_000_000, 2);
-        let mut sb = BufferState::new(1_000_000, 2);
-        for (bm, state) in [(&mut a, &mut sa), (&mut b, &mut sb)] {
-            for _ in 0..12 {
-                state.enqueue(0, 1_500).unwrap();
-                bm.on_enqueue(0, 1_500, 100, state);
-            }
-            state.dequeue(0, 1_500).unwrap();
-            bm.on_dequeue(0, 1_500, 2_000, state);
-        }
-        // A port drains 5 equal packets within one nanosecond quantum
-        // (crossing the congested floor on the way down).
-        sa.dequeue(0, 5 * 1_500).unwrap();
-        a.on_dequeue_many(0, 1_500, 5, 3_000, &sa);
-        for _ in 0..5 {
-            sb.dequeue(0, 1_500).unwrap();
-            b.on_dequeue(0, 1_500, 3_000, &sb);
-        }
-        assert_eq!(
-            a.threshold(0, &sa),
-            b.threshold(0, &sb),
-            "thresholds diverged"
-        );
-    }
 
     #[test]
     fn empty_buffer_full_rate_matches_dt() {

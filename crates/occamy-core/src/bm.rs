@@ -128,42 +128,6 @@ pub trait BufferManager {
         let _ = (q, len, now_ns, state);
     }
 
-    /// Batched [`BufferManager::on_dequeue`]: `count` equal-size packets
-    /// leaving queue `q` at one timestamp — the shape of a port (or a
-    /// drop burst) draining back-to-back within a nanosecond quantum.
-    /// `state` must already reflect all `count` departures.
-    ///
-    /// The default loops over `on_dequeue`; schemes that feed rate
-    /// estimators from this hook (ABM's per-queue drain EWMA) override
-    /// it with [`crate::RateEstimator::record_many`], which is bit-exact
-    /// with the loop but prices the repeated sample once. Only safe for
-    /// schemes whose dequeue hook does not feed victim selection
-    /// between departures (preemptive trackers need the per-packet
-    /// default).
-    ///
-    /// The discrete-event simulator deliberately does **not** call this
-    /// from its drop loops today: the schemes reachable there (Occamy,
-    /// Pushout) re-select a victim after every departure, so their
-    /// hooks must run per packet, and ABM — the one scheme with a rate
-    /// estimator — is never preempted. The hook exists so a batching
-    /// substrate (a cycle-level TM draining same-size cell runs, or a
-    /// future coalesced drain path) gets the cheap bit-exact update
-    /// without re-deriving the equivalence argument; until then its
-    /// contract is pinned by the ABM/`AnyBm` equivalence tests and the
-    /// `transport_hot` microbenches.
-    fn on_dequeue_many(
-        &mut self,
-        q: QueueId,
-        len: u64,
-        count: u64,
-        now_ns: u64,
-        state: &BufferState,
-    ) {
-        for _ in 0..count {
-            self.on_dequeue(q, len, now_ns, state);
-        }
-    }
-
     /// Picks a queue to head-drop from, or `None` if no queue is
     /// over-allocated (non-preemptive schemes always return `None`).
     fn select_victim(&mut self, state: &BufferState) -> Option<QueueId>;
@@ -222,8 +186,54 @@ impl Default for BmTuning {
 }
 
 impl BmKind {
-    /// All schemes compared in the paper's end-to-end evaluation.
+    /// All schemes compared in the paper's end-to-end evaluation, in
+    /// table-column order.
     pub const EVALUATED: [BmKind; 4] = [BmKind::Occamy, BmKind::Abm, BmKind::Dt, BmKind::Pushout];
+
+    /// Every built-in scheme, in the order scheme lists print them.
+    pub const ALL: [BmKind; 9] = [
+        BmKind::Occamy,
+        BmKind::OccamyLongest,
+        BmKind::Abm,
+        BmKind::Dt,
+        BmKind::Pushout,
+        BmKind::Static,
+        BmKind::CompleteSharing,
+        BmKind::BShare,
+        BmKind::Damq,
+    ];
+
+    /// The scheme's name in experiment grids, tables and spec files.
+    pub fn name(self) -> &'static str {
+        match self {
+            BmKind::Dt => "DT",
+            BmKind::Occamy => "Occamy",
+            BmKind::OccamyLongest => "OccamyLongest",
+            BmKind::Abm => "ABM",
+            BmKind::Pushout => "Pushout",
+            BmKind::Static => "Static",
+            BmKind::CompleteSharing => "CompleteSharing",
+            BmKind::BShare => "BShare",
+            BmKind::Damq => "DAMQ",
+        }
+    }
+
+    /// The scheme called `name` (see [`BmKind::name`]), if any.
+    pub fn from_name(name: &str) -> Option<BmKind> {
+        BmKind::ALL.into_iter().find(|k| k.name() == name)
+    }
+
+    /// The `α` the paper evaluates the scheme at (§6.2): Occamy 8, ABM
+    /// 2, DT 1. OccamyLongest shares Occamy's 8. BShare gets 8 so its
+    /// DT safety cap stays out of the way of its delay-based threshold.
+    /// Pushout, Static, CompleteSharing and DAMQ ignore `α`, so they get 1.
+    pub fn paper_alpha(self) -> f64 {
+        match self {
+            BmKind::Occamy | BmKind::OccamyLongest | BmKind::BShare => 8.0,
+            BmKind::Abm => 2.0,
+            _ => 1.0,
+        }
+    }
 
     /// Instantiates the scheme with the given queue configuration.
     pub fn build(self, cfg: QueueConfig) -> AnyBm {
@@ -308,18 +318,6 @@ impl BufferManager for AnyBm {
     }
 
     #[inline]
-    fn on_dequeue_many(
-        &mut self,
-        q: QueueId,
-        len: u64,
-        count: u64,
-        now_ns: u64,
-        state: &BufferState,
-    ) {
-        dispatch!(self, bm => bm.on_dequeue_many(q, len, count, now_ns, state))
-    }
-
-    #[inline]
     fn select_victim(&mut self, state: &BufferState) -> Option<QueueId> {
         dispatch!(self, bm => bm.select_victim(state))
     }
@@ -358,17 +356,7 @@ mod tests {
     #[test]
     fn kind_builds_matching_scheme() {
         let cfg = QueueConfig::uniform(2, 1_000, 1.0);
-        for kind in [
-            BmKind::Dt,
-            BmKind::Occamy,
-            BmKind::OccamyLongest,
-            BmKind::Abm,
-            BmKind::Pushout,
-            BmKind::Static,
-            BmKind::CompleteSharing,
-            BmKind::BShare,
-            BmKind::Damq,
-        ] {
+        for kind in BmKind::ALL {
             let bm = kind.build(cfg.clone());
             assert!(!bm.name().is_empty());
             match kind {
@@ -382,8 +370,18 @@ mod tests {
 
     #[test]
     fn evaluated_set_matches_paper() {
-        assert_eq!(BmKind::EVALUATED.len(), 4);
-        assert!(BmKind::EVALUATED.contains(&BmKind::Occamy));
-        assert!(BmKind::EVALUATED.contains(&BmKind::Pushout));
+        let names = BmKind::EVALUATED.map(BmKind::name);
+        assert_eq!(names, ["Occamy", "ABM", "DT", "Pushout"]);
+        let alphas = BmKind::EVALUATED.map(BmKind::paper_alpha);
+        assert_eq!(alphas, [8.0, 2.0, 1.0, 1.0]);
+    }
+
+    #[test]
+    fn names_round_trip() {
+        for kind in BmKind::ALL {
+            assert_eq!(BmKind::from_name(kind.name()), Some(kind));
+        }
+        assert_eq!(BmKind::from_name("Crosspoint"), None);
+        assert_eq!(BmKind::from_name("occamy"), None);
     }
 }

@@ -123,22 +123,6 @@ impl BufferManager for BShare {
         self.drain[q].record(len, now_ns);
     }
 
-    fn on_dequeue_many(
-        &mut self,
-        q: QueueId,
-        len: u64,
-        count: u64,
-        now_ns: u64,
-        _state: &BufferState,
-    ) {
-        if count > 0 {
-            self.now_ns = now_ns;
-        }
-        // Bit-exact with `count` single records (see
-        // `RateEstimator::record_many`).
-        self.drain[q].record_many(len, count, now_ns);
-    }
-
     fn select_victim(&mut self, _state: &BufferState) -> Option<QueueId> {
         None
     }
@@ -241,9 +225,8 @@ mod tests {
         proptest! {
             /// The hook-driven estimator state yields a threshold equal
             /// to the from-scratch formula recomputed from a shadow
-            /// estimator after every mutation, and the batched dequeue
-            /// hook is bit-exact with the per-packet loop — the BShare
-            /// analogue of the ABM/DAMQ cache-vs-scan proptests.
+            /// estimator after every mutation — the BShare analogue of
+            /// the ABM/DAMQ cache-vs-scan proptests.
             #[test]
             fn threshold_matches_scratch_formula(
                 ops in prop::collection::vec(
@@ -287,29 +270,6 @@ mod tests {
                         .min(state.capacity() as f64) as u64;
                     prop_assert_eq!(bm.threshold(q, &state), budget.min(cap));
                 }
-            }
-
-            /// `on_dequeue_many` is indistinguishable from the loop.
-            #[test]
-            fn batched_dequeue_matches_loop(
-                count in 1u64..20,
-                len in 100u64..3_000,
-            ) {
-                let mk = || BShare::new(QueueConfig::uniform(1, GBPS_10, 8.0));
-                let (mut a, mut b) = (mk(), mk());
-                let mut sa = BufferState::new(1_000_000, 1);
-                let mut sb = BufferState::new(1_000_000, 1);
-                for (bm, state) in [(&mut a, &mut sa), (&mut b, &mut sb)] {
-                    state.enqueue(0, len * (count + 1)).unwrap();
-                    bm.on_enqueue(0, len * (count + 1), 100, state);
-                }
-                sa.dequeue(0, len * count).unwrap();
-                a.on_dequeue_many(0, len, count, 2_000, &sa);
-                for _ in 0..count {
-                    sb.dequeue(0, len).unwrap();
-                    b.on_dequeue(0, len, 2_000, &sb);
-                }
-                prop_assert_eq!(a.threshold(0, &sa), b.threshold(0, &sb));
             }
         }
     }

@@ -53,42 +53,6 @@ impl RateEstimator {
         self.last_ns = now_ns;
     }
 
-    /// Records `count` transfers of `bytes` each, all at time `now_ns` —
-    /// the shape of a port draining several equal-size packets within
-    /// one timestamp quantum (head-drop bursts, synchronized incast
-    /// departures).
-    ///
-    /// **Bit-exact** with calling [`RateEstimator::record`] `count`
-    /// times: the first sample sees the real elapsed gap; each later
-    /// sample sees the 1 ns floor, whose `(decay, instantaneous rate)`
-    /// pair is derived once — through the same memo `record` would
-    /// replay — and the EWMA blend is applied sequentially in the same
-    /// float order. Equivalence is pinned by the memo-hit and memo-miss
-    /// tests below.
-    pub fn record_many(&mut self, bytes: u64, count: u64, now_ns: u64) {
-        if count == 0 {
-            return;
-        }
-        self.record(bytes, now_ns);
-        if count == 1 {
-            return;
-        }
-        // Samples 2..=count: `dt` floors at 1 ns. Replays exactly what
-        // `record` would compute (and memoize) for (1, bytes).
-        let (w, inst_bps) = if (1, bytes) == (self.memo.0, self.memo.1) {
-            (self.memo.2, self.memo.3)
-        } else {
-            let dt = 1f64;
-            let w = (-dt / self.tau_ns).exp();
-            let inst_bps = bytes as f64 * 8.0 * 1e9 / dt;
-            self.memo = (1, bytes, w, inst_bps);
-            (w, inst_bps)
-        };
-        for _ in 1..count {
-            self.rate_bps = w * self.rate_bps + (1.0 - w) * inst_bps;
-        }
-    }
-
     /// Current estimate in bits/s, decayed to time `now_ns`.
     pub fn rate_bps(&self, now_ns: u64) -> f64 {
         let dt = now_ns.saturating_sub(self.last_ns) as f64;
@@ -153,63 +117,6 @@ mod tests {
         est.record(10_000, 50 * US);
         est.reset(5e9, 100 * US);
         assert!((est.rate_bps(100 * US) - 5e9).abs() < 1.0);
-    }
-
-    /// `record_many` against the looped baseline when the repeated
-    /// sample shape is already memoized (a paced stream whose last
-    /// samples were 1 ns apart).
-    #[test]
-    fn record_many_matches_loop_on_memo_hit() {
-        let mut a = RateEstimator::new(100 * US, 0.0);
-        let mut b = RateEstimator::new(100 * US, 0.0);
-        // Prime both with back-to-back same-size samples so the memo
-        // holds (dt = 1, bytes = 1500) on entry.
-        for e in [&mut a, &mut b] {
-            e.record(1_500, 10);
-            e.record(1_500, 10);
-        }
-        let now = 5 * US;
-        a.record_many(1_500, 7, now);
-        for _ in 0..7 {
-            b.record(1_500, now);
-        }
-        assert_eq!(a.rate_bps(now).to_bits(), b.rate_bps(now).to_bits());
-    }
-
-    /// Same equivalence when the memo is cold (different sample shape
-    /// before the burst) and across several batch sizes.
-    #[test]
-    fn record_many_matches_loop_on_memo_miss() {
-        for count in [1u64, 2, 3, 16, 255] {
-            let mut a = RateEstimator::new(100 * US, 2.5e9);
-            let mut b = RateEstimator::new(100 * US, 2.5e9);
-            for e in [&mut a, &mut b] {
-                e.record(900, 3 * US); // leaves an unrelated memo
-            }
-            let now = 8 * US;
-            a.record_many(64, count, now);
-            for _ in 0..count {
-                b.record(64, now);
-            }
-            assert_eq!(
-                a.rate_bps(now).to_bits(),
-                b.rate_bps(now).to_bits(),
-                "diverged at count {count}"
-            );
-            // And the estimators remain interchangeable afterwards.
-            a.record(1_500, 12 * US);
-            b.record(1_500, 12 * US);
-            assert_eq!(a.rate_bps(20 * US).to_bits(), b.rate_bps(20 * US).to_bits());
-        }
-    }
-
-    #[test]
-    fn record_many_zero_count_is_noop() {
-        let mut e = RateEstimator::new(100 * US, 1e9);
-        let before = e.rate_bps(0).to_bits();
-        e.record_many(1_500, 0, 50 * US);
-        // No sample recorded: the estimate still decays from t = 0.
-        assert_eq!(e.rate_bps(0).to_bits(), before);
     }
 
     #[test]

@@ -45,8 +45,6 @@ use occamy_core::{BufferManager, DropReason, Verdict};
 pub(crate) trait Env {
     /// Schedules `ev` at absolute time `at`.
     fn push(&mut self, at: Ps, ev: Event);
-    /// Schedules a timer event (see [`EventQueue::push_timer`]).
-    fn push_timer(&mut self, at: Ps, ev: Event);
     /// Interns `pkt` and schedules its arrival at `node`.
     fn push_arrival(&mut self, at: Ps, node: NodeId, pkt: Packet);
     /// Redeems an [`Event::Arrive`] packet handle.
@@ -69,11 +67,6 @@ impl Env for EventQueue {
     #[inline]
     fn push(&mut self, at: Ps, ev: Event) {
         EventQueue::push(self, at, ev);
-    }
-
-    #[inline]
-    fn push_timer(&mut self, at: Ps, ev: Event) {
-        EventQueue::push_timer(self, at, ev);
     }
 
     #[inline]
@@ -312,7 +305,7 @@ fn arm_rto<E: Env>(ctx: &mut Ctx<'_>, env: &mut E, flow: FlowId) {
     if !f.timer_armed() {
         f.set_timer_armed(true);
         // Milliseconds out: the queue parks it on its far lane.
-        env.push_timer(deadline, Event::Rto { flow });
+        env.push(deadline, Event::Rto { flow });
     }
 }
 
@@ -327,7 +320,7 @@ fn rto_fire<E: Env>(ctx: &mut Ctx<'_>, env: &mut E, flow: FlowId) {
         // Deadline was pushed forward by ACK activity: resleep.
         f.set_timer_armed(true);
         let at = f.rto_deadline;
-        env.push_timer(at, Event::Rto { flow });
+        env.push(at, Event::Rto { flow });
         return;
     }
     // Tail-loss probe first (no congestion-state change), full RTO

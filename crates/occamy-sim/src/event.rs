@@ -16,10 +16,10 @@
 //!   less. The ring's ≈ 2 ns buckets span ≈ 33.6 µs, three times the
 //!   longest hop of the modelled fabrics, so every packet event is
 //!   bucketed once and popped from its sorted bucket without
-//!   cascading. Retransmission timers go through
-//!   [`EventQueue::push_timer`]; their milliseconds-out deadlines wait
-//!   on the far lane, a hierarchical wheel over ring spans, and migrate
-//!   into the ring just before the cursor reaches them.
+//!   cascading. Retransmission timers take the same
+//!   [`EventQueue::push`]; their milliseconds-out deadlines wait on the
+//!   far lane, a hierarchical wheel over ring spans, and migrate into
+//!   the ring just before the cursor reaches them.
 //! - **A deferred lane** for the bulk of setup-time events (flow
 //!   starts): sorted once instead of passing through the ring.
 //!
@@ -226,17 +226,6 @@ impl EventQueue {
         self.deferred_dirty = true;
     }
 
-    /// Schedules a timer event (an [`Event::Rto`]). Identical to
-    /// [`EventQueue::push`] — the queue places any entry by its
-    /// deadline, so a milliseconds-out timer lands on the far lane and
-    /// stays clear of the ring with no separate call path needed.
-    /// The distinct name keeps timer call sites greppable and gives
-    /// timers a seam should they ever need different handling again.
-    #[inline]
-    pub fn push_timer(&mut self, at: Ps, event: Event) {
-        self.push(at, event);
-    }
-
     /// Interns `pkt` and schedules its arrival at `node`.
     #[inline]
     pub fn push_arrival(&mut self, at: Ps, node: NodeId, pkt: Packet) {
@@ -411,17 +400,17 @@ mod tests {
     }
 
     #[test]
-    fn timer_lane_merges_in_global_order() {
-        // Timers, heap events and deferred events at equal and distinct
-        // times: pops must follow (time, global insertion sequence)
-        // exactly as if all events had gone through one heap.
+    fn direct_and_deferred_pushes_merge_in_global_order() {
+        // Direct and deferred pushes at equal and distinct times: pops
+        // must follow (time, global insertion sequence) exactly as if
+        // all events had gone through one heap.
         let mut q = EventQueue::new();
-        q.push_timer(20, Event::HostTxFree { host: 0 }); // seq 0
+        q.push(20, Event::HostTxFree { host: 0 }); // seq 0
         q.push(10, Event::HostTxFree { host: 1 }); // seq 1
-        q.push_timer(10, Event::HostTxFree { host: 2 }); // seq 2
+        q.push(10, Event::HostTxFree { host: 2 }); // seq 2
         q.push_deferred(10, Event::HostTxFree { host: 3 }); // seq 3
         q.push(20, Event::HostTxFree { host: 4 }); // seq 4
-        q.push_timer(5, Event::HostTxFree { host: 5 }); // seq 5
+        q.push(5, Event::HostTxFree { host: 5 }); // seq 5
         assert_eq!(q.len(), 6);
         assert_eq!(q.peek_time(), Some(5));
         let order: Vec<(Ps, u32)> = std::iter::from_fn(|| {
@@ -438,9 +427,9 @@ mod tests {
     }
 
     #[test]
-    fn timer_pop_respects_limit() {
+    fn pop_at_most_respects_limit() {
         let mut q = EventQueue::new();
-        q.push_timer(50, Event::HostTxFree { host: 0 });
+        q.push(50, Event::HostTxFree { host: 0 });
         assert!(q.pop_at_most(49).is_none());
         assert_eq!(q.pop_at_most(50).map(|(t, _)| t), Some(50));
         assert!(q.is_empty());

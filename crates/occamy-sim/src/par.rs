@@ -206,10 +206,6 @@ impl Env for DomainQueue {
         self.staged.push(Staged((at, idx), ev));
     }
 
-    fn push_timer(&mut self, at: Ps, ev: Event) {
-        self.push(at, ev);
-    }
-
     fn push_arrival(&mut self, at: Ps, node: NodeId, pkt: Packet) {
         if self.plan.node_dom(node) == self.dom {
             let id = self.pool.insert(pkt);

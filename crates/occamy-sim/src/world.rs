@@ -285,49 +285,6 @@ impl World {
     // Execution
     // ---------------------------------------------------------------
 
-    /// Executes one event; returns `false` when the queue is empty.
-    pub fn step(&mut self) -> bool {
-        let Some((t, ev)) = self.events.pop() else {
-            return false;
-        };
-        self.execute(t, ev);
-        true
-    }
-
-    #[inline]
-    fn execute(&mut self, t: Ps, ev: Event) {
-        let World {
-            now,
-            events,
-            cfg,
-            consts,
-            hosts,
-            switches,
-            flows,
-            cbrs,
-            samplers,
-            faults,
-            metrics,
-            ..
-        } = self;
-        let mut ctx = engine::Ctx {
-            now: *now,
-            cfg,
-            consts,
-            hosts,
-            switches,
-            hot: flows.hot.as_mut_slice(),
-            cold: flows.cold.as_mut_slice(),
-            rx: flows.rx.as_mut_slice(),
-            cbrs,
-            samplers,
-            faults,
-            metrics,
-        };
-        engine::execute_event(&mut ctx, events, t, ev);
-        *now = ctx.now;
-    }
-
     /// Serial event loop: drains events with timestamp `<= limit`.
     /// The [`engine::Ctx`] is built once and reused across the whole
     /// loop so the per-event cost is identical to the pre-split

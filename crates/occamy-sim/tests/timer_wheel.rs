@@ -30,17 +30,16 @@ struct Harness {
 }
 
 impl Harness {
-    /// Arms at absolute time `at` on lane `lane % 3` (0 = `push`,
-    /// 1 = `push_timer`, 2 = `push_deferred`).
+    /// Arms at absolute time `at`: through `push_deferred` when
+    /// `lane % 3 == 2`, through `push` otherwise.
     fn arm(&mut self, lane: u8, at: Ps) {
         assert!(at >= self.now, "scripts arm at or after the clock");
         let ev = Event::HostTxFree {
             host: self.seq as u32,
         };
         match lane % 3 {
-            0 => self.q.push(at, ev),
-            1 => self.q.push_timer(at, ev),
-            _ => self.q.push_deferred(at, ev),
+            2 => self.q.push_deferred(at, ev),
+            _ => self.q.push(at, ev),
         }
         self.model.push((at, self.seq));
         self.seq += 1;
@@ -81,15 +80,15 @@ fn bucket_of(t: Ps) -> Ps {
 }
 
 proptest! {
-    /// Mixed pushes across all three lanes at delays spanning nanoseconds
+    /// Mixed direct and deferred pushes at delays spanning nanoseconds
     /// to hundreds of seconds (ring buckets through the far lane's upper
     /// levels), interleaved with pops that advance the ring's cursor:
     /// every event must pop in exact `(time, insertion sequence)` order,
     /// the order a heap produces.
     ///
-    /// Script encoding: `op < 3` arms on lane `op` (0 = `push`,
-    /// 1 = `push_timer`, 2 = `push_deferred`) at `now + delay` (the lane
-    /// divisor varies the delay scale); `op ≥ 3` pops one event.
+    /// Script encoding: `op < 3` arms at `now + delay` (the divisor
+    /// `1 + op · 1000` varies the delay scale), through `push` for
+    /// `op` 0 and 1 and `push_deferred` for 2; `op ≥ 3` pops one event.
     #[test]
     fn fire_order_matches_reference_heap(
         script in prop::collection::vec((0u8..6, 0u64..400_000_000_000u64), 1..300)
@@ -105,9 +104,8 @@ proptest! {
                 let at = now + delay;
                 let ev = Event::HostTxFree { host: seq as u32 };
                 match op {
-                    0 => q.push(at, ev),
-                    1 => q.push_timer(at, ev),
-                    _ => q.push_deferred(at, ev),
+                    2 => q.push_deferred(at, ev),
+                    _ => q.push(at, ev),
                 }
                 model.push((at, seq));
                 seq += 1;
@@ -136,7 +134,7 @@ proptest! {
     ) {
         let mut q = EventQueue::new();
         for (i, d) in delays.iter().enumerate() {
-            q.push_timer(*d, Event::HostTxFree { host: i as u32 });
+            q.push(*d, Event::HostTxFree { host: i as u32 });
         }
         let mut popped = 0;
         while let Some((t, _)) = q.pop_at_most(limit) {

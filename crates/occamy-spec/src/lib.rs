@@ -17,13 +17,22 @@
 //! workspace's `occamy_stats::Json` reader. `[topology]` parses straight
 //! into `occamy_sim::topology::FabricTopo`, the shape the fabric
 //! builder takes, and is validated by the builder's own
-//! `FabricTopo::check`. Those two workspace crates are the only
-//! dependencies, so the crate builds offline.
+//! `FabricTopo::check`. Scheme names and their default α come from
+//! `occamy_core::BmKind` (`name`, `from_name`, `paper_alpha`); the spec
+//! adds only the pseudo-scheme `"Crosspoint"`. Those three workspace
+//! crates are the only dependencies, so the crate builds offline.
 //!
 //! Validation is strict and typo-friendly: every identifier is checked
 //! against the known sets and a misspelling fails with a named
 //! suggestion — `unknown scheme 'Ocamy'; did you mean 'Occamy'?` —
-//! never a panic.
+//! never a panic. Every value rule lives in one place,
+//! [`SpecDoc::check`], and holds for section keys and `[grid]` values
+//! alike: each grid value is written into the document with
+//! [`SpecDoc::set_knob`] and checked with the rules of the key it
+//! sweeps, so a loaded `SpecDoc` — from TOML, JSON or a shard plan's
+//! embedded TOML — holds only valid cells, and an invalid grid value
+//! fails naming `[grid] <knob>`. Nothing is clamped: a value out of
+//! range fails naming its key.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,10 +46,9 @@ mod value;
 
 pub use error::{Result, SpecError};
 pub use model::{
-    default_alpha, AxisSpec, Background, FaultClause, Num, QuerySize, SchemesSpec, SimSpec,
-    SpecDoc, SwitchArch, TableKind, TableSpec, TelemetrySpec, TopologySection, TrafficSpec,
-    XpSchedSpec, BACKGROUNDS, FAULT_KINDS, KNOBS, METRICS, SCHEMES, SWITCH_ARCHS, TOPOLOGIES,
-    XP_SCHEDS,
+    AxisSpec, Background, FaultClause, Num, QuerySize, SchemesSpec, SimSpec, SpecDoc, SwitchArch,
+    TableKind, TableSpec, TelemetrySpec, TopologySection, TrafficSpec, XpSchedSpec, BACKGROUNDS,
+    FAULT_KINDS, KNOBS, METRICS, SWITCH_ARCHS, TOPOLOGIES, XP_SCHEDS,
 };
 pub use value::Value;
 

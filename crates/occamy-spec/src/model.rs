@@ -27,40 +27,36 @@
 //! metric = "qct_slowdown_avg"
 //! ```
 //!
-//! Every identifier — topology kind, traffic kind, scheme, grid knob,
-//! emit metric — is validated against the known sets, and a typo fails
+//! Loading runs in two steps. The section readers only read: each key's
+//! type, and every identifier — topology kind, traffic kind, scheme,
+//! grid knob, emit metric — against its known set, where a typo fails
 //! with a named suggestion (`unknown topology kind 'fat_treee'; did you
-//! mean 'fat_tree'?`), never a panic.
+//! mean 'fat_tree'?`). Then [`SpecDoc::check`] applies every value rule
+//! once, to the section keys and to each `[grid]` value written into
+//! the document with [`SpecDoc::set_knob`], so a value breaks the same
+//! rule whichever place it comes from, and fails with an error that
+//! names its key, never a panic.
 
 use crate::error::{Result, SpecError};
 use crate::value::Value;
+use occamy_core::{BmKind, BmTuning};
 use occamy_sim::topology::FabricTopo;
+use occamy_sim::MS;
+use std::fmt::Display;
 
-/// The buffer-management schemes a spec may select, with the `α` the
-/// paper evaluates each at (see `[schemes.alpha]` to override).
-pub const SCHEMES: &[&str] = &[
-    "Occamy",
-    "OccamyLongest",
-    "ABM",
-    "DT",
-    "Pushout",
-    "Static",
-    "CompleteSharing",
-    "BShare",
-    "DAMQ",
-    "Crosspoint",
-];
+/// The spec-only pseudo-scheme that runs every switch on the
+/// crosspoint-queued architecture (see [`SwitchArch::Crosspoint`]) as
+/// one column of the scheme sweep.
+const CROSSPOINT: &str = "Crosspoint";
 
-/// The paper's evaluated `α` for `scheme` (§6.2): Occamy 8, ABM 2,
-/// everything else 1. BShare gets 8 so its DT safety cap stays out of
-/// the way of its delay-based threshold; DAMQ and the crosspoint
-/// architecture ignore `α` entirely.
-pub fn default_alpha(scheme: &str) -> f64 {
-    match scheme {
-        "Occamy" | "OccamyLongest" | "BShare" => 8.0,
-        "ABM" => 2.0,
-        _ => 1.0,
-    }
+/// The scheme names `[schemes] use` accepts: every [`BmKind`] by
+/// [`BmKind::name`], then [`CROSSPOINT`].
+fn scheme_names() -> Vec<&'static str> {
+    BmKind::ALL
+        .map(BmKind::name)
+        .into_iter()
+        .chain([CROSSPOINT])
+        .collect()
 }
 
 /// Switch buffer architectures (`[topology] switch_arch = …`).
@@ -123,7 +119,7 @@ pub const BACKGROUNDS: &[&str] = &[
     "permutation",
 ];
 
-/// Knobs a `[grid]` axis may sweep.
+/// Knobs a `[grid]` axis may sweep ([`SpecDoc::set_knob`] writes each).
 pub const KNOBS: &[&str] = &[
     "bg_load",
     "bg_flow_kb",
@@ -167,6 +163,19 @@ pub const METRICS: &[&str] = &[
 
 /// Fault kinds a `[[faults]]` clause may declare.
 pub const FAULT_KINDS: &[&str] = &["link_flap", "drain", "host_churn"];
+
+/// Ceilings on the values that size a cell's workload. They sit far
+/// past the paper's operating points (background load up to 1.2, 400
+/// queries/s per host, 16- to 64-way incast, 15 ms windows) and keep
+/// every accepted cell's injected workload finite: without them a value
+/// such as `bg_load = 1e300` passes and the flow generator never ends.
+const MAX_BG_LOAD: f64 = 10.0;
+/// Queries per second per client host.
+const MAX_QPS_PER_HOST: f64 = 10_000.0;
+/// Responses per incast query.
+const MAX_QUERY_FANOUT: u64 = 1_024;
+/// Workload injection window, ms.
+const MAX_DURATION_MS: u64 = 10_000;
 
 /// One numeric axis value (integers and floats are kept distinct so
 /// grids render `20`, not `20.0`, exactly like the hand-coded figures).
@@ -277,18 +286,34 @@ pub struct TrafficSpec {
 pub struct SchemesSpec {
     /// Schemes to sweep (the implicit last grid axis).
     pub schemes: Vec<String>,
-    /// Per-scheme `α` overrides (defaults: [`default_alpha`]).
+    /// Per-scheme `α` overrides (defaults: [`BmKind::paper_alpha`]).
     pub alpha: Vec<(String, f64)>,
+    /// BShare's delay target `d` in µs. Grid-only: `[grid]
+    /// bshare_delay_us` sets it per cell and no section key does, so a
+    /// loaded document holds BShare's own default.
+    pub bshare_delay_us: f64,
+    /// DAMQ's reserved buffer fraction `ρ`. Grid-only like
+    /// `bshare_delay_us` (`[grid] damq_reserve_frac`).
+    pub damq_reserve_frac: f64,
 }
 
 impl SchemesSpec {
-    /// The `α` for `scheme`, applying overrides.
+    /// The `α` for `scheme`, applying overrides. The crosspoint
+    /// pseudo-scheme ignores `α` and gets 1.
     pub fn alpha_for(&self, scheme: &str) -> f64 {
         self.alpha
             .iter()
             .find(|(s, _)| s == scheme)
             .map(|(_, a)| *a)
-            .unwrap_or_else(|| default_alpha(scheme))
+            .unwrap_or_else(|| BmKind::from_name(scheme).map_or(1.0, BmKind::paper_alpha))
+    }
+
+    /// Overrides the `α` of `scheme`.
+    fn set_alpha(&mut self, scheme: &str, alpha: f64) {
+        match self.alpha.iter_mut().find(|(s, _)| s == scheme) {
+            Some((_, a)) => *a = alpha,
+            None => self.alpha.push((scheme.to_string(), alpha)),
+        }
     }
 }
 
@@ -435,7 +460,8 @@ pub struct SpecDoc {
 }
 
 // -------------------------------------------------------------------
-// Section readers
+// Section readers: types and identifiers only; values are checked by
+// `SpecDoc::check`.
 // -------------------------------------------------------------------
 
 fn check_keys(ctx: &str, table: &Value, known: &[&str]) -> Result<()> {
@@ -463,14 +489,6 @@ fn get_u64(ctx: &str, t: &Value, key: &str, default: u64) -> Result<u64> {
 
 fn get_usize(ctx: &str, t: &Value, key: &str, default: usize) -> Result<usize> {
     Ok(get_u64(ctx, t, key, default as u64)? as usize)
-}
-
-fn positive(ctx: &str, key: &str, v: f64) -> Result<f64> {
-    if v > 0.0 && v.is_finite() {
-        Ok(v)
-    } else {
-        Err(SpecError::new(format!("'{key}' must be positive (got {v})")).in_context(ctx))
-    }
 }
 
 fn parse_topology(doc: &Value) -> Result<TopologySection> {
@@ -537,27 +555,6 @@ fn parse_topology(doc: &Value) -> Result<TopologySection> {
         }
         other => return Err(SpecError::unknown("topology kind", other, TOPOLOGIES)),
     };
-    // The builder's own check, so a loadable spec never panics mid-run.
-    kind.check()
-        .map_err(|e| SpecError::new(e).in_context(ctx))?;
-    let host_rate_gbps = positive(
-        ctx,
-        "host_rate_gbps",
-        get_f64(ctx, t, "host_rate_gbps", 25.0)?,
-    )?;
-    let fabric_rate_gbps = positive(
-        ctx,
-        "fabric_rate_gbps",
-        get_f64(ctx, t, "fabric_rate_gbps", host_rate_gbps)?,
-    )?;
-    let oversubscription = get_f64(ctx, t, "oversubscription", 1.0)?;
-    // `!(x >= 1.0)` rather than `x < 1.0` so NaN is rejected too.
-    if !(oversubscription >= 1.0 && oversubscription.is_finite()) {
-        return Err(SpecError::new(format!(
-            "'oversubscription' must be a finite ratio ≥ 1 (got {oversubscription})"
-        ))
-        .in_context(ctx));
-    }
     let switch_arch = match t.get("switch_arch") {
         None => SwitchArch::SharedMemory,
         Some(v) => match v.as_str().map_err(|e| e.in_context(ctx))? {
@@ -580,13 +577,14 @@ fn parse_topology(doc: &Value) -> Result<TopologySection> {
             other => return Err(SpecError::unknown("crosspoint scheduler", other, XP_SCHEDS)),
         },
     };
+    let host_rate_gbps = get_f64(ctx, t, "host_rate_gbps", 25.0)?;
     Ok(TopologySection {
         kind,
         host_rate_gbps,
-        fabric_rate_gbps,
-        link_prop_us: positive(ctx, "link_prop_us", get_f64(ctx, t, "link_prop_us", 10.0)?)?,
-        buffer_per_8ports_kb: get_u64(ctx, t, "buffer_per_8ports_kb", 1_000)?.max(1),
-        oversubscription,
+        fabric_rate_gbps: get_f64(ctx, t, "fabric_rate_gbps", host_rate_gbps)?,
+        link_prop_us: get_f64(ctx, t, "link_prop_us", 10.0)?,
+        buffer_per_8ports_kb: get_u64(ctx, t, "buffer_per_8ports_kb", 1_000)?,
+        oversubscription: get_f64(ctx, t, "oversubscription", 1.0)?,
         switch_arch,
         xp_sched,
     })
@@ -634,27 +632,27 @@ fn parse_traffic(doc: &Value) -> Result<TrafficSpec> {
         (None, Some(v)) => QuerySize::PctBuffer(v.as_u64().map_err(|e| e.in_context(ctx))?),
         (None, None) => QuerySize::PctBuffer(40),
     };
-    let bg_load = get_f64(ctx, t, "bg_load", 0.9)?;
-    if background != Background::None {
-        positive(ctx, "bg_load", bg_load)?;
-    }
-    let qps = get_f64(ctx, t, "qps_per_host", 400.0)?;
-    if !(qps >= 0.0 && qps.is_finite()) {
-        return Err(
-            SpecError::new(format!("'qps_per_host' must be ≥ 0 (got {qps})")).in_context(ctx),
-        );
-    }
     Ok(TrafficSpec {
         background,
-        bg_load,
-        bg_flow_kb: get_u64(ctx, t, "bg_flow_kb", 100)?.max(1),
+        bg_load: get_f64(ctx, t, "bg_load", 0.9)?,
+        bg_flow_kb: get_u64(ctx, t, "bg_flow_kb", 100)?,
         perm_shift: get_u64(ctx, t, "perm_shift", 1)?,
         query,
-        query_fanout: get_u64(ctx, t, "query_fanout", 16)?.max(1),
-        qps_per_host: qps,
-        duration_ms: get_u64(ctx, t, "duration_ms", 15)?.max(1),
+        query_fanout: get_u64(ctx, t, "query_fanout", 16)?,
+        qps_per_host: get_f64(ctx, t, "qps_per_host", 400.0)?,
+        duration_ms: get_u64(ctx, t, "duration_ms", 15)?,
         drain_ms: get_u64(ctx, t, "drain_ms", 100)?,
     })
+}
+
+/// Reads a scheme name, which must be one of [`scheme_names`].
+fn scheme_name(ctx: &str, v: &str) -> Result<String> {
+    let known = scheme_names();
+    if known.contains(&v) {
+        Ok(v.to_string())
+    } else {
+        Err(SpecError::unknown("scheme", v, &known).in_context(ctx))
+    }
 }
 
 fn parse_schemes(doc: &Value) -> Result<SchemesSpec> {
@@ -662,44 +660,32 @@ fn parse_schemes(doc: &Value) -> Result<SchemesSpec> {
     let empty = Value::Table(Vec::new());
     let t = doc.get("schemes").unwrap_or(&empty);
     check_keys(ctx, t, &["use", "alpha"])?;
-    let schemes: Vec<String> = match t.get("use") {
-        None => vec!["Occamy", "ABM", "DT", "Pushout"]
-            .into_iter()
-            .map(String::from)
-            .collect(),
-        Some(v) => {
-            let arr = v.as_array().map_err(|e| e.in_context(ctx))?;
-            let mut out = Vec::new();
-            for item in arr {
-                let s = item.as_str().map_err(|e| e.in_context(ctx))?;
-                if !SCHEMES.contains(&s) {
-                    return Err(SpecError::unknown("scheme", s, SCHEMES));
-                }
-                if out.iter().any(|o| o == s) {
-                    return Err(
-                        SpecError::new(format!("scheme '{s}' listed twice")).in_context(ctx)
-                    );
-                }
-                out.push(s.to_string());
-            }
-            if out.is_empty() {
-                return Err(SpecError::new("'use' must list at least one scheme").in_context(ctx));
-            }
-            out
-        }
+    let schemes = match t.get("use") {
+        None => BmKind::EVALUATED.map(|k| k.name().to_string()).to_vec(),
+        Some(v) => v
+            .as_array()
+            .map_err(|e| e.in_context(ctx))?
+            .iter()
+            .map(|item| scheme_name(ctx, item.as_str().map_err(|e| e.in_context(ctx))?))
+            .collect::<Result<_>>()?,
     };
     let mut alpha = Vec::new();
     if let Some(a) = t.get("alpha") {
-        for (k, v) in a.entries().map_err(|e| e.in_context("[schemes.alpha]"))? {
-            if !SCHEMES.contains(&k.as_str()) {
-                return Err(SpecError::unknown("scheme", k, SCHEMES));
-            }
-            let val = v.as_f64().map_err(|e| e.in_context("[schemes.alpha]"))?;
-            positive("[schemes.alpha]", k, val)?;
-            alpha.push((k.clone(), val));
+        let ctx = "[schemes.alpha]";
+        for (k, v) in a.entries().map_err(|e| e.in_context(ctx))? {
+            alpha.push((
+                scheme_name(ctx, k)?,
+                v.as_f64().map_err(|e| e.in_context(ctx))?,
+            ));
         }
     }
-    Ok(SchemesSpec { schemes, alpha })
+    let tuning = BmTuning::default();
+    Ok(SchemesSpec {
+        schemes,
+        alpha,
+        bshare_delay_us: tuning.bshare_delay_ns as f64 / 1e3,
+        damq_reserve_frac: tuning.damq_reserve_permille as f64 / 1e3,
+    })
 }
 
 fn parse_sim(doc: &Value) -> Result<SimSpec> {
@@ -717,19 +703,12 @@ fn parse_sim(doc: &Value) -> Result<SimSpec> {
             "threads",
         ],
     )?;
-    let expel = get_f64(ctx, t, "expel_rate_factor", 1.0)?;
-    if !(0.0..=1_000.0).contains(&expel) {
-        return Err(
-            SpecError::new(format!("'expel_rate_factor' must be ≥ 0 (got {expel})"))
-                .in_context(ctx),
-        );
-    }
     Ok(SimSpec {
-        ecn_k_bytes: get_u64(ctx, t, "ecn_k_bytes", 180_000)?.max(1),
-        min_rto_ms: get_u64(ctx, t, "min_rto_ms", 5)?.max(1),
-        mss: get_u64(ctx, t, "mss", 1_460)?.max(1),
-        expel_rate_factor: expel,
-        threads: get_u64(ctx, t, "threads", 1)?.max(1),
+        ecn_k_bytes: get_u64(ctx, t, "ecn_k_bytes", 180_000)?,
+        min_rto_ms: get_u64(ctx, t, "min_rto_ms", 5)?,
+        mss: get_u64(ctx, t, "mss", 1_460)?,
+        expel_rate_factor: get_f64(ctx, t, "expel_rate_factor", 1.0)?,
+        threads: get_u64(ctx, t, "threads", 1)?,
     })
 }
 
@@ -811,109 +790,52 @@ fn parse_grid(doc: &Value) -> Result<Vec<AxisSpec>> {
     Ok(axes)
 }
 
-/// A fraction of the workload window: finite, in `0..=1`.
-fn fraction(ctx: &str, key: &str, v: f64) -> Result<f64> {
-    if (0.0..=1.0).contains(&v) {
-        Ok(v)
-    } else {
-        Err(SpecError::new(format!(
-            "'{key}' must be a fraction of the workload window in 0..=1 (got {v})"
-        ))
-        .in_context(ctx))
-    }
-}
-
 /// A required key of a fault clause (faults have no sensible defaults).
 fn require<'v>(ctx: &str, t: &'v Value, key: &str) -> Result<&'v Value> {
     t.get(key)
         .ok_or_else(|| SpecError::new(format!("missing '{key}'")).in_context(ctx))
 }
 
-fn parse_faults(doc: &Value, topo: &TopologySection) -> Result<Vec<FaultClause>> {
+fn parse_faults(doc: &Value) -> Result<Vec<FaultClause>> {
     let Some(f) = doc.get("faults") else {
         return Ok(Vec::new());
     };
     let arr = f
         .as_array()
         .map_err(|_| SpecError::new("faults must be an array of tables ([[faults]])"))?;
-    let check_switch = |ctx: &str, s: u64| -> Result<u64> {
-        let n = topo.kind.n_switches();
-        if (s as usize) < n {
-            Ok(s)
-        } else {
-            Err(SpecError::new(format!(
-                "'switch' {s} outside the {} fabric ({n} switches)",
-                topo.kind.name()
-            ))
-            .in_context(ctx))
-        }
-    };
     let mut out = Vec::new();
     for (i, t) in arr.iter().enumerate() {
         let ctx = &format!("[[faults]] #{}", i + 1);
+        let u64_of = |key| -> Result<u64> { require(ctx, t, key)?.as_u64() };
+        let f64_of = |key| -> Result<f64> { require(ctx, t, key)?.as_f64() };
         let kind = require(ctx, t, "kind")?
             .as_str()
             .map_err(|e| e.in_context(ctx))?;
         let clause = match kind {
             "link_flap" => {
                 check_keys(ctx, t, &["kind", "switch", "port", "down", "up"])?;
-                let switch = check_switch(ctx, require(ctx, t, "switch")?.as_u64()?)?;
-                let port = require(ctx, t, "port")?.as_u64()?;
-                let n_ports = topo.kind.n_ports(switch as usize).unwrap_or(0);
-                if port as usize >= n_ports {
-                    return Err(SpecError::new(format!(
-                        "'port' {port} outside switch {switch} ({n_ports} ports)"
-                    ))
-                    .in_context(ctx));
-                }
-                let down = fraction(ctx, "down", require(ctx, t, "down")?.as_f64()?)?;
-                let up = fraction(ctx, "up", require(ctx, t, "up")?.as_f64()?)?;
-                if down >= up {
-                    return Err(SpecError::new(format!(
-                        "the link must go down before it comes up (down = {down}, up = {up})"
-                    ))
-                    .in_context(ctx));
-                }
                 FaultClause::LinkFlap {
-                    switch,
-                    port,
-                    down,
-                    up,
+                    switch: u64_of("switch")?,
+                    port: u64_of("port")?,
+                    down: f64_of("down")?,
+                    up: f64_of("up")?,
                 }
             }
             "drain" => {
                 check_keys(ctx, t, &["kind", "switch", "start", "end"])?;
-                let switch = check_switch(ctx, require(ctx, t, "switch")?.as_u64()?)?;
-                let start = fraction(ctx, "start", require(ctx, t, "start")?.as_f64()?)?;
-                let end = fraction(ctx, "end", require(ctx, t, "end")?.as_f64()?)?;
-                if start >= end {
-                    return Err(SpecError::new(format!(
-                        "the drain must start before it ends (start = {start}, end = {end})"
-                    ))
-                    .in_context(ctx));
+                FaultClause::Drain {
+                    switch: u64_of("switch")?,
+                    start: f64_of("start")?,
+                    end: f64_of("end")?,
                 }
-                FaultClause::Drain { switch, start, end }
             }
             "host_churn" => {
                 check_keys(ctx, t, &["kind", "host", "leave", "join"])?;
-                let host = require(ctx, t, "host")?.as_u64()?;
-                let n = topo.kind.n_hosts();
-                if host as usize >= n {
-                    return Err(SpecError::new(format!(
-                        "'host' {host} outside the {} fabric ({n} hosts)",
-                        topo.kind.name()
-                    ))
-                    .in_context(ctx));
+                FaultClause::HostChurn {
+                    host: u64_of("host")?,
+                    leave: f64_of("leave")?,
+                    join: f64_of("join")?,
                 }
-                let leave = fraction(ctx, "leave", require(ctx, t, "leave")?.as_f64()?)?;
-                let join = fraction(ctx, "join", require(ctx, t, "join")?.as_f64()?)?;
-                if leave >= join {
-                    return Err(SpecError::new(format!(
-                        "the host must leave before it rejoins (leave = {leave}, join = {join})"
-                    ))
-                    .in_context(ctx));
-                }
-                FaultClause::HostChurn { host, leave, join }
             }
             other => return Err(SpecError::unknown("fault kind", other, FAULT_KINDS)),
         };
@@ -1020,6 +942,185 @@ fn parse_emit(doc: &Value, grid: &[AxisSpec]) -> Result<Vec<TableSpec>> {
     Ok(tables)
 }
 
+// -------------------------------------------------------------------
+// Value rules
+// -------------------------------------------------------------------
+
+/// Fails naming `key` in section `ctx` unless `ok`: `'key' must {must}`.
+fn rule(ctx: &str, key: &str, ok: bool, must: String) -> Result<()> {
+    if ok {
+        Ok(())
+    } else {
+        Err(SpecError::new(format!("'{key}' must {must}")).in_context(ctx))
+    }
+}
+
+/// `v` must be finite and above zero.
+fn positive(ctx: &str, key: &str, v: f64) -> Result<()> {
+    rule(
+        ctx,
+        key,
+        v > 0.0 && v.is_finite(),
+        format!("be positive (got {v})"),
+    )
+}
+
+/// `lo ≤ v ≤ hi`; NaN fails, as every comparison with it is false.
+fn within<T: PartialOrd + Display>(ctx: &str, key: &str, v: T, lo: T, hi: T) -> Result<()> {
+    let must = format!("be in {lo}..={hi} (got {v})");
+    rule(ctx, key, lo <= v && v <= hi, must)
+}
+
+/// A fraction of the workload window: finite, in `0..=1`.
+fn fraction(ctx: &str, key: &str, v: f64) -> Result<()> {
+    let must = format!("be a fraction of the workload window in 0..=1 (got {v})");
+    rule(ctx, key, (0.0..=1.0).contains(&v), must)
+}
+
+fn check_topology(t: &TopologySection) -> Result<()> {
+    let ctx = "[topology]";
+    // The builder's own check, so a loadable spec never panics mid-run.
+    t.kind
+        .check()
+        .map_err(|e| SpecError::new(e).in_context(ctx))?;
+    positive(ctx, "host_rate_gbps", t.host_rate_gbps)?;
+    positive(ctx, "fabric_rate_gbps", t.fabric_rate_gbps)?;
+    positive(ctx, "link_prop_us", t.link_prop_us)?;
+    // Upper bounds like this one keep a value's conversion to bytes or
+    // picoseconds inside a u64.
+    let kb = t.buffer_per_8ports_kb;
+    within(ctx, "buffer_per_8ports_kb", kb, 1, u64::MAX / 1_000)?;
+    let o = t.oversubscription;
+    let must = format!("be a finite ratio ≥ 1 (got {o})");
+    rule(ctx, "oversubscription", o >= 1.0 && o.is_finite(), must)
+}
+
+fn check_traffic(t: &TrafficSpec, topo: &TopologySection) -> Result<()> {
+    let ctx = "[traffic]";
+    let load = t.bg_load;
+    let must = format!("be positive and ≤ {MAX_BG_LOAD} (got {load})");
+    let ok = t.background == Background::None || (load > 0.0 && load <= MAX_BG_LOAD);
+    rule(ctx, "bg_load", ok, must)?;
+    within(ctx, "bg_flow_kb", t.bg_flow_kb, 1, u64::MAX / 1_000)?;
+    if let QuerySize::PctBuffer(pct) = t.query {
+        // The query is `pct` percent of the buffer allotment in bytes.
+        let buffer = topo.buffer_per_8ports_kb * 1_000;
+        within(ctx, "query_pct_buffer", pct, 0, u64::MAX / buffer)?;
+    }
+    within(ctx, "query_fanout", t.query_fanout, 1, MAX_QUERY_FANOUT)?;
+    within(ctx, "qps_per_host", t.qps_per_host, 0.0, MAX_QPS_PER_HOST)?;
+    within(ctx, "duration_ms", t.duration_ms, 1, MAX_DURATION_MS)?;
+    // The run ends at duration + drain on the simulator's u64 ps clock.
+    within(
+        ctx,
+        "drain_ms",
+        t.drain_ms,
+        0,
+        u64::MAX / MS - t.duration_ms,
+    )
+}
+
+fn check_schemes(s: &SchemesSpec) -> Result<()> {
+    let ctx = "[schemes]";
+    if s.schemes.is_empty() {
+        return Err(SpecError::new("'use' must list at least one scheme").in_context(ctx));
+    }
+    for (i, scheme) in s.schemes.iter().enumerate() {
+        if s.schemes[..i].contains(scheme) {
+            return Err(SpecError::new(format!("scheme '{scheme}' listed twice")).in_context(ctx));
+        }
+    }
+    for (scheme, alpha) in &s.alpha {
+        positive("[schemes.alpha]", scheme, *alpha)?;
+    }
+    // BShare's target must stay at least 1 ns once converted from µs.
+    let delay = s.bshare_delay_us;
+    let must = format!("be a finite delay ≥ 0.001 (got {delay})");
+    rule(
+        ctx,
+        "bshare_delay_us",
+        delay >= 0.001 && delay.is_finite(),
+        must,
+    )?;
+    // Permille split: both halves of DAMQ's buffer must stay non-empty.
+    within(ctx, "damq_reserve_frac", s.damq_reserve_frac, 0.001, 0.999)
+}
+
+fn check_sim(s: &SimSpec) -> Result<()> {
+    let ctx = "[sim]";
+    let ecn = s.ecn_k_bytes;
+    rule(ctx, "ecn_k_bytes", ecn >= 1, format!("be ≥ 1 (got {ecn})"))?;
+    within(ctx, "min_rto_ms", s.min_rto_ms, 1, u64::MAX / MS)?;
+    within(ctx, "mss", s.mss, 1, u32::MAX as u64)?;
+    let threads = s.threads;
+    rule(
+        ctx,
+        "threads",
+        threads >= 1,
+        format!("be ≥ 1 (got {threads})"),
+    )?;
+    within(ctx, "expel_rate_factor", s.expel_rate_factor, 0.0, 1_000.0)
+}
+
+/// Two times of a fault, as fractions of the workload window, with
+/// the first strictly before the second (`order` says which comes first).
+fn in_order(ctx: &str, (a, x): (&str, f64), (b, y): (&str, f64), order: &str) -> Result<()> {
+    fraction(ctx, a, x)?;
+    fraction(ctx, b, y)?;
+    if x < y {
+        Ok(())
+    } else {
+        Err(SpecError::new(format!("{order} ({a} = {x}, {b} = {y})")).in_context(ctx))
+    }
+}
+
+fn check_faults(faults: &[FaultClause], topo: &TopologySection) -> Result<()> {
+    let fabric = topo.kind.name();
+    let (n_switches, n_hosts) = (topo.kind.n_switches(), topo.kind.n_hosts());
+    for (i, clause) in faults.iter().enumerate() {
+        let ctx = &format!("[[faults]] #{}", i + 1);
+        let outside = |what: String| Err(SpecError::new(what).in_context(ctx));
+        match *clause {
+            FaultClause::LinkFlap { switch, .. } | FaultClause::Drain { switch, .. }
+                if switch as usize >= n_switches =>
+            {
+                return outside(format!(
+                    "'switch' {switch} outside the {fabric} fabric ({n_switches} switches)"
+                ));
+            }
+            FaultClause::LinkFlap {
+                switch,
+                port,
+                down,
+                up,
+            } => {
+                let n_ports = topo.kind.n_ports(switch as usize).unwrap_or(0);
+                if port as usize >= n_ports {
+                    return outside(format!(
+                        "'port' {port} outside switch {switch} ({n_ports} ports)"
+                    ));
+                }
+                let order = "the link must go down before it comes up";
+                in_order(ctx, ("down", down), ("up", up), order)?;
+            }
+            FaultClause::Drain { start, end, .. } => {
+                let order = "the drain must start before it ends";
+                in_order(ctx, ("start", start), ("end", end), order)?;
+            }
+            FaultClause::HostChurn { host, .. } if host as usize >= n_hosts => {
+                return outside(format!(
+                    "'host' {host} outside the {fabric} fabric ({n_hosts} hosts)"
+                ));
+            }
+            FaultClause::HostChurn { leave, join, .. } => {
+                let order = "the host must leave before it rejoins";
+                in_order(ctx, ("leave", leave), ("join", join), order)?;
+            }
+        }
+    }
+    Ok(())
+}
+
 impl SpecDoc {
     /// Builds and validates a spec from a parsed document tree.
     pub fn from_value(doc: &Value) -> Result<SpecDoc> {
@@ -1063,66 +1164,119 @@ impl SpecDoc {
             None => name.clone(),
         };
         let grid = parse_grid(doc)?;
-        let traffic = parse_traffic(doc)?;
-        let schemes = parse_schemes(doc)?;
-        check_grid_applies(&grid, &traffic, &schemes)?;
-        let topology = parse_topology(doc)?;
-        let faults = parse_faults(doc, &topology)?;
-        Ok(SpecDoc {
+        let spec = SpecDoc {
             name,
             description,
             seed_key,
-            topology,
-            traffic,
-            schemes,
+            topology: parse_topology(doc)?,
+            traffic: parse_traffic(doc)?,
+            schemes: parse_schemes(doc)?,
             sim: parse_sim(doc)?,
             telemetry: parse_telemetry(doc)?,
-            faults,
+            faults: parse_faults(doc)?,
             emit: parse_emit(doc, &grid)?,
             grid,
-        })
+        };
+        spec.check()?;
+        Ok(spec)
     }
-}
 
-/// A grid axis over a knob the chosen background ignores would sweep
-/// identical cells and mislabel the table — reject it at load time.
-fn check_grid_applies(
-    grid: &[AxisSpec],
-    traffic: &TrafficSpec,
-    schemes: &SchemesSpec,
-) -> Result<()> {
-    let has = |s: &str| schemes.schemes.iter().any(|x| x == s);
-    for axis in grid {
-        let (ok, needs) = match axis.knob.as_str() {
+    /// Every value rule of a spec: per key and across keys, for the
+    /// sections and for each `[grid]` value. A grid value is checked by
+    /// writing it into a copy of the document with
+    /// [`SpecDoc::set_knob`] and checking the sections of that copy, so
+    /// it obeys exactly the rules of the key it sweeps; the error names
+    /// `[grid] <knob>`. No rule couples two knobs, so checking each
+    /// value alone checks every cell of the grid.
+    pub fn check(&self) -> Result<()> {
+        self.check_sections()?;
+        for axis in &self.grid {
+            let ctx = format!("[grid] {}", axis.knob);
+            self.check_axis_applies(&axis.knob)
+                .map_err(|e| e.in_context(&ctx))?;
+            for &value in axis.full.iter().chain(&axis.quick).chain(&axis.smoke) {
+                for scheme in &self.schemes.schemes {
+                    let mut cell = self.clone();
+                    cell.set_knob(&axis.knob, value, scheme)
+                        .and_then(|()| cell.check_sections())
+                        .map_err(|e| e.in_context(&ctx))?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn check_sections(&self) -> Result<()> {
+        check_topology(&self.topology)?;
+        check_traffic(&self.traffic, &self.topology)?;
+        check_schemes(&self.schemes)?;
+        check_sim(&self.sim)?;
+        check_faults(&self.faults, &self.topology)
+    }
+
+    /// An axis over a knob the chosen background or schemes ignore
+    /// would sweep identical cells and mislabel the table.
+    fn check_axis_applies(&self, knob: &str) -> Result<()> {
+        let has = |s: &str| self.schemes.schemes.iter().any(|x| x == s);
+        let background = self.traffic.background;
+        let (ok, needs) = match knob {
             "bshare_delay_us" => (has("BShare"), "scheme BShare in the sweep"),
             "damq_reserve_frac" => (has("DAMQ"), "scheme DAMQ in the sweep"),
-            "bg_load" => (
-                traffic.background != Background::None,
-                "a background pattern",
-            ),
+            "bg_load" => (background != Background::None, "a background pattern"),
             "bg_flow_kb" => (
                 matches!(
-                    traffic.background,
+                    background,
                     Background::AllToAll | Background::Allreduce | Background::Permutation
                 ),
                 "background all_to_all, allreduce or permutation",
             ),
             "perm_shift" => (
-                traffic.background == Background::Permutation,
+                background == Background::Permutation,
                 "background permutation",
             ),
             _ => (true, ""),
         };
-        if !ok {
-            return Err(SpecError::new(format!(
-                "axis '{}' has no effect with background '{}' — it needs {needs}",
-                axis.knob,
-                traffic.background.name()
-            ))
-            .in_context("[grid]"));
+        if ok {
+            Ok(())
+        } else {
+            Err(SpecError::new(format!(
+                "has no effect with background '{}' — it needs {needs}",
+                background.name()
+            )))
         }
     }
-    Ok(())
+
+    /// Writes one `[grid]` value into the document: the key `knob`
+    /// sweeps, for a cell of `scheme`. Integer knobs take integers
+    /// only. `alpha` overrides the α of `scheme`; `bshare_delay_us` and
+    /// `damq_reserve_frac` set the grid-only fields of
+    /// [`SchemesSpec`]. The value is not checked here —
+    /// [`SpecDoc::check`] checks every axis value this way at load.
+    pub fn set_knob(&mut self, knob: &str, value: Num, scheme: &str) -> Result<()> {
+        let int = || match value {
+            Num::Int(v) => Ok(v),
+            Num::Float(v) => Err(SpecError::new(format!(
+                "'{knob}' takes integers only (got {v:?})"
+            ))),
+        };
+        let t = &mut self.traffic;
+        match knob {
+            "bg_load" => t.bg_load = value.as_f64(),
+            "bg_flow_kb" => t.bg_flow_kb = int()?,
+            "perm_shift" => t.perm_shift = int()?,
+            "query_pct_buffer" => t.query = QuerySize::PctBuffer(int()?),
+            "query_bytes" => t.query = QuerySize::Bytes(int()?),
+            "query_fanout" => t.query_fanout = int()?,
+            "qps_per_host" => t.qps_per_host = value.as_f64(),
+            "duration_ms" => t.duration_ms = int()?,
+            "oversubscription" => self.topology.oversubscription = value.as_f64(),
+            "alpha" => self.schemes.set_alpha(scheme, value.as_f64()),
+            "bshare_delay_us" => self.schemes.bshare_delay_us = value.as_f64(),
+            "damq_reserve_frac" => self.schemes.damq_reserve_frac = value.as_f64(),
+            other => return Err(SpecError::unknown("grid knob", other, KNOBS)),
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -1203,8 +1357,9 @@ mod tests {
         )
         .unwrap();
         assert_eq!(ok.schemes.schemes, vec!["BShare", "DAMQ", "Crosspoint"]);
-        assert_eq!(super::default_alpha("BShare"), 8.0);
-        assert_eq!(super::default_alpha("DAMQ"), 1.0);
+        assert_eq!(ok.schemes.alpha_for("BShare"), 8.0);
+        assert_eq!(ok.schemes.alpha_for("DAMQ"), 1.0);
+        assert_eq!(ok.schemes.alpha_for("Crosspoint"), 1.0);
         let e = SpecDoc::from_value(
             &toml::parse(
                 "name = \"x\"\n[topology]\nkind = \"fat_tree\"\n[schemes]\nuse = [\"BSharre\"]\n",

@@ -11,14 +11,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod cdf;
 mod json;
 mod records;
 mod sketch;
 mod summary;
 mod table;
 
-pub use cdf::Cdf;
 pub use json::Json;
 pub use records::{FlowClass, FlowRecord, FlowSet, QctRecord, SMALL_FLOW_BYTES};
 pub use sketch::{EwmaRate, QuantileSketch};

@@ -1,8 +1,8 @@
 //! Streaming sketches: O(1)-memory quantile estimation and windowed rates.
 //!
 //! Long-horizon runs (hours of simulated time, millions of flows) cannot
-//! afford the per-record vectors used by [`crate::Summary`]/[`crate::Cdf`]:
-//! those grow linearly with run length. This module provides fixed-size
+//! afford the per-record vector [`crate::Summary`] keeps: it grows
+//! linearly with run length. This module provides fixed-size
 //! replacements used by the live-telemetry path:
 //!
 //! * [`QuantileSketch`] — a Greenwald–Khanna ε-approximate quantile

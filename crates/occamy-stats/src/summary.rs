@@ -148,6 +148,28 @@ mod tests {
     }
 
     #[test]
+    fn percentile_rank_rounds_up() {
+        // Rank ⌈p/100 · n⌉: 99% of 10 samples is the 10th, 10% the 1st.
+        let mut s = Summary::from_samples((1..=10).rev().map(f64::from).collect());
+        assert_eq!(s.percentile(50.0), Some(5.0));
+        assert_eq!(s.percentile(99.0), Some(10.0));
+        assert_eq!(s.percentile(10.0), Some(1.0));
+        assert_eq!(s.percentile(100.0), Some(10.0));
+        // Percent levels divide to exactly the quantile literals, so
+        // `percentile(100·q)` picks the same sample as a rank-⌈q·n⌉
+        // quantile at these levels.
+        for (p, q) in [
+            (25.0, 0.25),
+            (50.0, 0.5),
+            (75.0, 0.75),
+            (90.0, 0.9),
+            (99.0, 0.99),
+        ] {
+            assert_eq!(p / 100.0, q);
+        }
+    }
+
+    #[test]
     fn single_sample_is_every_percentile() {
         let mut s = Summary::from_samples(vec![7.0]);
         assert_eq!(s.percentile(1.0), Some(7.0));
