@@ -95,9 +95,9 @@ fn run_world(threads: usize) -> u64 {
 }
 
 /// Serial vs domain-decomposed execution of the identical workload.
-/// The `threads4` minus `serial` gap divided by `par_windows` is the
-/// full per-quantum sync cost (split amortized away, barrier wakeups,
-/// exec-log bookkeeping, and the cross-domain merge walk).
+/// The `threads4` minus `serial` gap divided by `ParStats::windows`
+/// is the full per-quantum sync cost (split amortized away, barrier
+/// wakeups, exec-log bookkeeping, and the cross-domain merge walk).
 fn bench_run(c: &mut Criterion) {
     let mut group = c.benchmark_group("par_sync_run");
     group.sample_size(10);

@@ -39,9 +39,9 @@ pub struct FabricScenario {
     pub host_rate_bps: u64,
     /// Switch-to-switch link rate before oversubscription.
     pub fabric_rate_bps: u64,
-    /// Access-layer oversubscription ratio (≥ 1); see
-    /// [`FabricCfg::link_rate_bps`] for how it sets each shape's switch
-    /// link rates.
+    /// Divisor (≥ 1) on the switch-link rates; see
+    /// [`FabricCfg::oversubscription`] for the access ratio it gives
+    /// each shape.
     pub oversubscription: f64,
     /// One-way propagation per link.
     pub link_prop_ps: Ps,
@@ -77,12 +77,13 @@ pub struct FabricScenario {
 impl FabricScenario {
     /// The paper's §6.4 defaults, dimension-scaled from 128 × 100 G to
     /// 25 G hosts and lifted onto `topo`, keeping every ratio that
-    /// drives the result: a non-blocking fabric (leaf↔spine links at the
-    /// host rate), 10 µs per link, 1 MB per 8 ports (5 KB/port/Gbps,
-    /// about Tomahawk's 5.12), ECN K = 0.72 BDP = 180 KB, min RTO 5 ms,
-    /// web-search background at 90%, fan-out 16, queries of 40% of a
-    /// partition buffer at 400 queries/s/host, over 15 ms (+100 ms
-    /// drain).
+    /// drives the result: switch links at the host rate
+    /// (`oversubscription = 1.0`, which on the §6.4 leaf-spine is the
+    /// paper's 2:1 at each leaf), 10 µs per link, 1 MB per 8 ports
+    /// (5 KB/port/Gbps, about Tomahawk's 5.12), ECN K = 0.72 BDP =
+    /// 180 KB, min RTO 5 ms, web-search background at 90%, fan-out 16,
+    /// queries of 40% of a partition buffer at 400 queries/s/host, over
+    /// 15 ms (+100 ms drain).
     pub fn paper_scaled(topo: FabricTopo, bm: BmKind, alpha: f64) -> Self {
         FabricScenario {
             topo,
@@ -183,7 +184,6 @@ impl FabricScenario {
     /// Builds, injects, runs and aggregates, also returning the world.
     pub fn run_world(&self) -> (World, RunResult) {
         let mut world = self.build();
-        crate::apply_sim_threads(&mut world);
         self.inject(&mut world);
         world.run_to_completion(self.duration_ps + self.drain_ps);
         let flows = world.flow_records();
@@ -226,6 +226,7 @@ pub fn scale_fabric(sc: &mut FabricScenario, scale: Scale) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use occamy_sim::NodeId;
 
     #[test]
     fn leaf_spine_scaled_preserves_ratios() {
@@ -258,6 +259,36 @@ mod tests {
         // Edge up-links run at the divided rate, host links at full.
         assert_eq!(w.switches[0].ports[0].link.rate_bps, f.host_rate_bps);
         assert_eq!(w.switches[0].ports[2].link.rate_bps, f.fabric_rate_bps / 4);
+    }
+
+    /// Host-facing and up-link capacity, in bps, of the first access
+    /// (tier-0) switch `sc` builds.
+    fn access_capacity(sc: &FabricScenario) -> (u64, u64) {
+        let w = sc.build();
+        let sw = w.switches.iter().find(|s| s.tier == 0).unwrap();
+        let (mut down, mut up) = (0, 0);
+        for p in &sw.ports {
+            match p.link.to {
+                NodeId::Host(_) => down += p.link.rate_bps,
+                NodeId::Switch(_) => up += p.link.rate_bps,
+            }
+        }
+        (down, up)
+    }
+
+    #[test]
+    fn unit_oversubscription_keeps_each_shapes_own_access_ratio() {
+        // The §6.4 leaf-spine: 8 hosts down, 4 spines up, so 2:1.
+        let ls = FabricScenario::paper_leaf_spine(BmKind::Dt, 1.0);
+        assert_eq!(ls.oversubscription, 1.0);
+        let (down, up) = access_capacity(&ls);
+        assert_eq!((down, up), (8 * ls.host_rate_bps, 4 * ls.fabric_rate_bps));
+        assert_eq!(down, 2 * up);
+        // A k=4 fat-tree edge: 2 hosts down, 2 aggregation switches up.
+        let ft = FabricScenario::paper_scaled(FabricTopo::FatTree { k: 4 }, BmKind::Dt, 1.0);
+        let (down, up) = access_capacity(&ft);
+        assert_eq!((down, up), (2 * ft.host_rate_bps, 2 * ft.fabric_rate_bps));
+        assert_eq!(down, up);
     }
 
     #[test]

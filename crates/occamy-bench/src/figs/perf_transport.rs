@@ -21,7 +21,6 @@
 //! move events/sec, not results.
 
 use crate::fabric::{FabricScenario, FabricTopo};
-use crate::report::RunResult;
 use crate::scenario::{CellOutcome, CellResult, CellSpec, Grid, Report, Scale, Scenario};
 use crate::scenarios::BgPattern;
 use occamy_core::BmKind;
@@ -86,8 +85,7 @@ impl Scenario for PerfTransport {
     }
 
     fn run(&self, cell: &CellSpec) -> CellResult {
-        let (world, result): (_, RunResult) = scenario_for(cell).run_world();
-        crate::report::with_par_metrics(result.into_cell(), &world)
+        scenario_for(cell).run().into_cell()
     }
 
     fn emit(&self, outcomes: &[CellOutcome]) -> Report {

@@ -85,27 +85,6 @@ pub fn freeze_perf() -> bool {
     std::env::var("OCCAMY_FREEZE_PERF").is_ok_and(|v| v == "1")
 }
 
-/// Worker threads for *intra-run* domain-decomposed simulation
-/// (`OCCAMY_SIM_THREADS`, set by `--threads`; default 1 = serial).
-/// Distinct from the rayon pool that spreads grid *cells* across cores:
-/// cells inherit `max(spec threads, this)` as their world's
-/// `SimConfig::threads`, engaging `occamy_sim`'s deterministic parallel
-/// executor on multi-domain topologies. Results are bit-identical for
-/// every value — this only trades wall clock.
-pub fn sim_threads() -> usize {
-    std::env::var("OCCAMY_SIM_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(1)
-        .max(1)
-}
-
-/// Applies the CLI/env intra-run thread count to a built world (keeping
-/// any higher spec-level `[sim] threads` setting).
-pub fn apply_sim_threads(world: &mut occamy_sim::World) {
-    world.cfg.threads = world.cfg.threads.max(sim_threads());
-}
-
 /// Returns `true` when `OCCAMY_TELEMETRY=1` (set by `--telemetry` /
 /// `--live`): the runner installs the out-of-band telemetry sink and
 /// tails the trace bus into `results/<name>_telemetry.jsonl`. Telemetry

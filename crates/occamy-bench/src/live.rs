@@ -59,8 +59,6 @@ fn record_json(s: &Snapshot, unix_ms: u64, events_per_sec: f64) -> Json {
         ("faults_fired", Json::from(s.faults_fired)),
         ("disabled_ports", Json::from(s.disabled_ports)),
         ("draining", Json::from(s.draining)),
-        ("windows", Json::from(s.windows)),
-        ("domains", Json::from(s.domains)),
         (
             "switches",
             Json::arr(s.switches.iter().map(|g| {
@@ -695,8 +693,6 @@ mod tests {
             faults_fired: 0,
             disabled_ports: 0,
             draining: 0,
-            windows: 0,
-            domains: 0,
         };
         let rec = record_json(&snap, 1700000000000, 2.5e6);
         let back = Json::parse(&rec.render()).unwrap();

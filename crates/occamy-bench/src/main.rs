@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! occamy-bench list [--spec FILE...]
-//! occamy-bench run <name...> [--spec FILE...] [--quick|--smoke] [--serial] [--threads N]
-//! occamy-bench all [--quick|--smoke] [--serial] [--threads N]
+//! occamy-bench run <name...> [--spec FILE...] [--quick|--smoke] [--serial | --threads N]
+//! occamy-bench all [--quick|--smoke] [--serial | --threads N]
 //! occamy-bench shard plan <name> | --spec FILE  --shards N [--quick|--smoke] [--out-dir DIR]
 //! occamy-bench shard run <plan.json> [--serial] [--resume]
 //! occamy-bench shard merge <journal.cells.jsonl ...> [--out-dir DIR]
@@ -74,11 +74,8 @@ options:
   --quick              reduced sweeps and durations (also: OCCAMY_QUICK=1)
   --smoke              near-trivial grids (seconds; used by the smoke test)
   --serial             execute cells on one thread (baseline / profiling)
-  --threads N          worker thread count (default: all cores). Also
-                       enables intra-run parallelism: each cell's world
-                       runs domain-decomposed on up to N threads with
-                       bit-identical results (`--serial --threads 8`
-                       = sequential cells, 8-way parallel simulation)
+  --threads N          cell worker pool size (default: all cores;
+                       also: RAYON_NUM_THREADS); not with --serial
   --shards N           shard count for `shard plan` / planning `fleet`
   --resume             `shard run`: validate <plan>.cells.jsonl and
                        recompute only the cells it lacks
@@ -128,6 +125,7 @@ fn parse_args() -> Result<Args, String> {
     let mut workers = 0usize;
     let mut retries = 2u32;
     let mut timeout_s = 0u64;
+    let mut threads = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -181,12 +179,9 @@ fn parse_args() -> Result<Args, String> {
                     .and_then(|v| v.parse::<usize>().ok())
                     .filter(|&n| n > 0)
                     .ok_or("--threads needs a positive integer")?;
-                // The cell worker pool sizes itself from this variable…
+                // The cell worker pool sizes itself from this variable.
                 std::env::set_var("RAYON_NUM_THREADS", n.to_string());
-                // …and each cell's world runs its own domain-decomposed
-                // simulation on up to this many threads (bit-identical
-                // results; see `occamy_bench::sim_threads`).
-                std::env::set_var("OCCAMY_SIM_THREADS", n.to_string());
+                threads = true;
             }
             "-h" | "--help" => {
                 command = Some("help".to_string());
@@ -197,6 +192,13 @@ fn parse_args() -> Result<Args, String> {
             word if command.is_none() => command = Some(word.to_string()),
             word => names.push(word.to_string()),
         }
+    }
+    if threads && !parallel {
+        return Err(
+            "--threads and --serial cannot be combined: --threads N sizes \
+             the cell worker pool, --serial runs cells on one thread"
+                .to_string(),
+        );
     }
     Ok(Args {
         command: command.ok_or("missing command")?,

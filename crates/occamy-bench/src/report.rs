@@ -1,6 +1,6 @@
 //! Result aggregation shared by the scenario modules.
 
-use crate::scenario::{CellResult, Series};
+use crate::scenario::CellResult;
 use occamy_sim::{tx_time_ps, Ps, World};
 use occamy_stats::{FlowClass, FlowSet, Json, Summary, SMALL_FLOW_BYTES};
 
@@ -162,32 +162,6 @@ impl RunResult {
             ("recovery_ms", self.resilience.recovery_ms.to_json()),
         ])
     }
-}
-
-/// Attaches the intra-run parallelism trajectory of a finished world to
-/// a cell result: effective thread count, worker count, domain count,
-/// synchronization windows and a per-domain event-count series (they
-/// land in `BENCH_<name>.json` and the `threads`/`domains` columns of
-/// `results/<name>_perf.csv`). Pure observability: under
-/// [`crate::freeze_perf`] nothing is added — a serial run records none
-/// of these either, which is what keeps frozen artifacts byte-identical
-/// across every `--threads` value.
-pub fn with_par_metrics(cell: CellResult, world: &World) -> CellResult {
-    if crate::freeze_perf() {
-        return cell;
-    }
-    let Some(stats) = &world.par_stats else {
-        return cell;
-    };
-    let mut s = Series::new("domain_events", &["domain", "events"]);
-    for (d, &n) in stats.domain_events.iter().enumerate() {
-        s.row(vec![d as f64, n as f64]);
-    }
-    cell.metric("sim_threads", world.cfg.threads as f64)
-        .metric("par_workers", stats.workers as f64)
-        .metric("par_domains", stats.domain_events.len() as f64)
-        .metric("par_windows", stats.windows as f64)
-        .with_series(s)
 }
 
 /// Builds a [`RunResult`] from the flow records of a finished run,

@@ -135,19 +135,8 @@ impl ScenarioRun {
             ("batch_wall_ms", Json::from(batch_wall.as_millis() as u64)),
             ("events_total", Json::from(self.events_total())),
             ("events_per_sec", Json::from(self.events_per_sec())),
-            // Parallelism trajectory: requested intra-run threads and
-            // the grid-level speedup (serial cell time over batch
-            // wall). Both are perf fields — frozen to zero under
-            // OCCAMY_FREEZE_PERF so artifacts stay byte-identical
-            // across thread counts.
-            (
-                "sim_threads",
-                Json::from(if crate::freeze_perf() {
-                    0
-                } else {
-                    crate::sim_threads() as u64
-                }),
-            ),
+            // The cell pool's speedup: serial cell time over batch
+            // wall (zero under OCCAMY_FREEZE_PERF, like both inputs).
             (
                 "speedup",
                 Json::from(if batch_wall.as_secs_f64() > 0.0 {
@@ -379,13 +368,8 @@ fn perf_table(run: &ScenarioRun) -> Table {
             "events",
             "events_per_sec",
             "peak_rss_mb",
-            "threads",
-            "domains",
         ],
     );
-    // The parallelism columns come from `report::with_par_metrics`;
-    // serial cells (and frozen-perf runs) have no such metrics and
-    // print `-`, keeping frozen CSVs identical across thread counts.
     let int = |v: Option<f64>| v.map_or_else(|| "-".to_string(), |x| format!("{x:.0}"));
     for o in &run.outcomes {
         let (wall_ms, eps) = cell_perf(o);
@@ -396,8 +380,6 @@ fn perf_table(run: &ScenarioRun) -> Table {
             int(o.result.get("events")),
             int(eps),
             format!("{:.1}", o.rss as f64 / (1024.0 * 1024.0)),
-            int(o.result.get("sim_threads")),
-            int(o.result.get("par_domains")),
         ]);
     }
     t

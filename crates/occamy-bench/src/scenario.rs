@@ -50,11 +50,6 @@ impl Scale {
         }
     }
 
-    /// Whether durations should be shortened (anything but `Full`).
-    pub fn is_reduced(self) -> bool {
-        self != Scale::Full
-    }
-
     /// Parses the `Display` spelling back (shard files record the scale
     /// a plan was generated at).
     pub fn parse(s: &str) -> Option<Scale> {

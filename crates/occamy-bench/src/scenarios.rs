@@ -227,7 +227,6 @@ impl TestbedScenario {
     /// metric access.
     pub fn run_world(&self) -> (World, RunResult) {
         let mut world = self.build();
-        crate::apply_sim_threads(&mut world);
         self.inject(&mut world);
         world.run_to_completion(self.duration_ps + self.drain_ps);
         let flows = world.flow_records();

@@ -26,8 +26,8 @@
 //!    present exactly once, every grid cell covered exactly once, no
 //!    version or header drift — and feeds them through the same
 //!    assembly path as a direct run ([`crate::runner::assemble`] +
-//!    [`render_into`]), emitting the byte-identical `BENCH_<name>.json`
-//!    and `results/*.csv`.
+//!    [`crate::runner::render_into`]), emitting the byte-identical
+//!    `BENCH_<name>.json` and `results/*.csv`.
 //!
 //! Byte-identity is enforced by `tests/shard_equivalence.rs` and the CI
 //! `shard-equivalence` job, which `cmp` a merged 3-shard fig12 run

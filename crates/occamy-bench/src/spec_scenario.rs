@@ -83,7 +83,7 @@ impl SpecScenario {
 
     /// The fabric scenario of one grid cell: the cell's axis values
     /// written into a copy of the document (`SpecDoc::set_knob`), bound
-    /// by [`SpecScenario::base_scenario`], seeded and scaled.
+    /// by `SpecScenario::base_scenario`, seeded and scaled.
     pub fn scenario(&self, cell: &CellSpec) -> FabricScenario {
         let scheme = cell.str("scheme");
         let mut doc = self.doc.clone();
@@ -230,7 +230,6 @@ impl SpecScenario {
                 min_rto: s.min_rto_ms * MS,
                 mss: s.mss as u32,
                 expel_rate_factor: s.expel_rate_factor,
-                threads: s.threads as usize,
                 ..SimConfig::default()
             },
             faults,
@@ -285,8 +284,7 @@ impl Scenario for SpecScenario {
     }
 
     fn run(&self, cell: &CellSpec) -> CellResult {
-        let (world, result) = self.scenario(cell).run_world();
-        crate::report::with_par_metrics(result.into_cell(), &world)
+        self.scenario(cell).run().into_cell()
     }
 
     fn emit(&self, outcomes: &[CellOutcome]) -> Report {

@@ -4,11 +4,12 @@
 //! [`TRACKED_SPECS`] spec files; this test re-runs them in-process and
 //! fails when any *headline* metric drifts beyond tolerance.
 //!
-//! Perf fields are deliberately excluded from the comparison: `wall_ms`
-//! / `events_per_sec` vary run to run, and the `events` count is an
-//! engine property (event-loop refactors legitimately change it without
-//! changing results). Everything else — queries, QCT/FCT slowdowns,
-//! losses, unfinished — must match the snapshot to one part in 10⁶.
+//! Wall-clock fields (`wall_ms`, `events_per_sec`) vary run to run;
+//! they sit outside a cell's `metrics` and are not compared. The
+//! `events` count is deterministic, so it must match exactly: a change
+//! that makes the engine do more (or less) work fails here even on a
+//! noisy host. Everything else — queries, QCT/FCT slowdowns, losses,
+//! unfinished — must match the snapshot to one part in 10⁶.
 //!
 //! Regenerating after an *intentional* result change:
 //!
@@ -37,8 +38,8 @@ const TRACKED: &[&str] = &["fig03", "fig12", "fig20", "perf_transport"];
 /// fabric, which no registry scenario runs.
 const TRACKED_SPECS: &[&str] = &["specs/three_tier_oversub.toml"];
 
-/// Metric keys excluded from the comparison (perf, not results).
-const PERF_METRICS: &[&str] = &["events"];
+/// Metric keys compared exactly: deterministic work counts.
+const EXACT_METRICS: &[&str] = &["events"];
 
 const REL_TOL: f64 = 1e-6;
 
@@ -110,26 +111,29 @@ fn headline_metrics_match_golden_snapshots() {
                 .get("metrics")
                 .unwrap_or_else(|| panic!("{name} [{label}]: golden cell has no metrics"));
             let entries = metrics.entries().unwrap();
-            let kept: Vec<&(String, Json)> = entries
-                .iter()
-                .filter(|(k, _)| !PERF_METRICS.contains(&k.as_str()))
-                .collect();
-            assert!(!kept.is_empty(), "{name} [{label}]: nothing to compare");
-            for (key, golden_v) in kept {
+            assert!(!entries.is_empty(), "{name} [{label}]: nothing to compare");
+            for (key, golden_v) in entries {
                 let want = golden_v.as_f64().unwrap();
                 let got = outcome
                     .result
                     .get(key)
                     .unwrap_or_else(|| panic!("{name} [{label}]: metric '{key}' disappeared"));
-                assert!(
-                    close(want, got),
-                    "{name} [{label}]: '{key}' drifted: golden {want}, got {got} \
-                     (tol {REL_TOL}); regenerate golden/ if this change is intentional"
-                );
+                if EXACT_METRICS.contains(&key.as_str()) {
+                    assert_eq!(
+                        want, got,
+                        "{name} [{label}]: '{key}' changed: the engine did different work; \
+                         regenerate golden/ if this change is intentional"
+                    );
+                } else {
+                    assert!(
+                        close(want, got),
+                        "{name} [{label}]: '{key}' drifted: golden {want}, got {got} \
+                         (tol {REL_TOL}); regenerate golden/ if this change is intentional"
+                    );
+                }
             }
             // Metrics present now but absent from the snapshot are fine
-            // (new metrics get added); the perf trio is checked to stay
-            // out of the snapshot comparison by construction.
+            // (new metrics get added).
         }
     }
 }

@@ -358,6 +358,32 @@ fn tampered_seed_is_rejected_before_running() {
 }
 
 #[test]
+fn plan_embedding_the_threads_key_is_refused_naming_it() {
+    freeze();
+    let root = scratch("threads_key");
+    let path = specs_dir().join("smoke.toml");
+    let spec = SpecScenario::load(path.to_str().unwrap()).unwrap();
+    let plans = shard::plan(&ShardSource::Spec(spec), Scale::Smoke, 2, &root).unwrap();
+    // What an older binary embedded for a spec with `[sim] threads = 8`.
+    let text = std::fs::read_to_string(&plans[0]).unwrap();
+    let key = "expel_rate_factor = 1.0\\n";
+    assert!(text.contains(key), "{text}");
+    std::fs::write(
+        &plans[0],
+        text.replace(key, &format!("{key}threads = 8\\n")),
+    )
+    .unwrap();
+    let err = shard::run_shard(&plans[0], false, false).unwrap_err();
+    assert!(
+        err.contains("spec_smoke.shard-0.json")
+            && err.contains("embedded spec invalid: [sim] threads: intra-run threads were removed"),
+        "{err}"
+    );
+    assert!(!shard::journal_path(&plans[0]).exists());
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
 fn repeated_plan_cell_is_rejected_before_running() {
     freeze();
     let root = scratch("repeat");

@@ -105,11 +105,6 @@ impl<B: BufferManager> TrafficManager<B> {
         &self.state
     }
 
-    /// The buffer-management scheme (mutable, e.g. to re-tune `α`).
-    pub fn bm_mut(&mut self) -> &mut B {
-        &mut self.bm
-    }
-
     /// The buffer-management scheme.
     pub fn bm(&self) -> &B {
         &self.bm

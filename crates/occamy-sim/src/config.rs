@@ -28,7 +28,8 @@ pub struct SimConfig {
     /// (see `crate::par`). `1` (the default) runs the serial loop;
     /// `N > 1` engages the deterministic parallel executor when the
     /// topology exports event domains. Results are bit-identical for
-    /// every thread count.
+    /// every thread count. No CLI flag or spec key sets it: only the
+    /// benchmark's 2-thread pass and this crate's equivalence tests do.
     pub threads: usize,
 }
 

@@ -16,8 +16,8 @@
 //!
 //! Both environments are zero-cost at the call sites: `execute_event`
 //! is monomorphized per `Env`, so the serial instantiation compiles to
-//! the same direct calls the pre-split `World::execute` made — the
-//! tracked `perf_transport` baseline measures this path.
+//! direct calls on the [`EventQueue`] — the path the benchmark
+//! (`perfbench/`) measures.
 //!
 //! [`Ctx`] bundles the mutable world state a handler touches (hosts,
 //! switches, flow halves, metrics, …). The flow state is passed as

@@ -162,8 +162,8 @@ pub struct Metrics {
     pub delivered_pkts: u64,
     /// Total data bytes delivered to hosts.
     pub delivered_bytes: u64,
-    /// Events executed by [`crate::World::step`] — the denominator of the
-    /// simulator's events/sec throughput metric.
+    /// Events executed by [`crate::World::run_until`] — the denominator
+    /// of the simulator's events/sec throughput metric.
     pub events_processed: u64,
     /// Fault events executed (link flaps, drains, host churn).
     pub faults_fired: u64,

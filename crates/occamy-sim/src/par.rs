@@ -278,8 +278,6 @@ pub struct ParStats {
     pub windows: u64,
     /// Events executed per domain.
     pub domain_events: Vec<u64>,
-    /// Worker threads actually used (`min(threads, domains)`).
-    pub workers: usize,
 }
 
 /// Runs `world` in parallel until every event at time `<= limit` has
@@ -376,19 +374,7 @@ pub(crate) fn run_parallel(world: &mut World, limit: Ps) -> ParStats {
     let mut stats = ParStats {
         windows: 0,
         domain_events: vec![0; nd],
-        workers,
     };
-
-    // Telemetry cadence for this run (0 = off). Snapshots piggyback on
-    // the window barrier: the coordinator reads shard state between
-    // windows, when workers are parked — read-only, so parallel runs
-    // stay byte-identical to serial with telemetry on or off.
-    let cadence = std::num::NonZeroU64::new(crate::telemetry::cadence());
-    let base_events = world.metrics.events_processed;
-    let base_losses = world.metrics.drops.total_losses();
-    let base_fault_drops = world.metrics.fault_drops;
-    let base_faults_fired = world.metrics.faults_fired;
-    let mut next_snap = cadence.map_or(u64::MAX, |c| (base_events / c + 1) * c.get());
 
     std::thread::scope(|s| {
         for w in 0..workers {
@@ -435,33 +421,6 @@ pub(crate) fn run_parallel(world: &mut World, limit: Ps) -> ParStats {
                 &mut stats,
             );
             stats.windows += 1;
-            let total = base_events + stats.domain_events.iter().sum::<u64>();
-            if total >= next_snap {
-                let guards: Vec<_> = shards.iter().map(|m| m.lock().unwrap()).collect();
-                let mut refs: Vec<&Switch> = Vec::new();
-                let mut losses = base_losses;
-                let mut fault_drops = base_fault_drops;
-                let mut faults_fired = base_faults_fired;
-                for gd in &guards {
-                    refs.extend(gd.store.switches.iter());
-                    losses += gd.store.metrics.drops.total_losses();
-                    fault_drops += gd.store.metrics.fault_drops;
-                    faults_fired += gd.store.metrics.faults_fired;
-                }
-                refs.sort_by_key(|sw| sw.id);
-                crate::telemetry::emit_snapshot(
-                    &refs,
-                    losses,
-                    fault_drops,
-                    faults_fired,
-                    total,
-                    hi,
-                    limit,
-                    stats.windows,
-                    nd as u64,
-                );
-                next_snap = cadence.map_or(u64::MAX, |c| (total / c + 1) * c.get());
-            }
         }
         done.store(true, SeqCst);
         start.wait();

@@ -86,8 +86,7 @@ pub struct Switch {
     pub draining: bool,
     /// Crosspoint-queued mode: when present, arrivals and transmits
     /// route through per-(input, output) crosspoint buffers and the
-    /// shared-memory partitions above stay empty (see
-    /// [`crate::crosspoint`]).
+    /// shared-memory partitions above stay empty (see [`Crosspoint`]).
     pub xp: Option<Crosspoint>,
     /// EWMA of bytes written into the buffer (memory write bandwidth).
     pub write_rate: RateEstimator,

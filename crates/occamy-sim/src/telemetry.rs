@@ -2,9 +2,9 @@
 //!
 //! The simulator periodically publishes [`Snapshot`]s of its observable
 //! state — events executed, sim-time watermark, per-switch buffer
-//! occupancy, the hottest queues, fault state, parallel-window stats —
-//! onto a process-global mpsc bus that a consumer (the bench runner's
-//! sink thread) drains into JSONL files or a live dashboard.
+//! occupancy, the hottest queues, fault state — onto a process-global
+//! mpsc bus that a consumer (the bench runner's sink thread) drains
+//! into JSONL files or a live dashboard.
 //!
 //! # Determinism contract
 //!
@@ -121,10 +121,6 @@ pub struct Snapshot {
     pub disabled_ports: u64,
     /// Switches currently draining.
     pub draining: u64,
-    /// Parallel sync windows completed (0 on the serial path).
-    pub windows: u64,
-    /// Event domains engaged (0 on the serial path).
-    pub domains: u64,
 }
 
 /// Number of hottest queues reported per snapshot.
@@ -207,26 +203,13 @@ pub fn emit_marker(kind: SnapshotKind, events: u64, sim_ps: Ps, limit_ps: Ps) {
         faults_fired: 0,
         disabled_ports: 0,
         draining: 0,
-        windows: 0,
-        domains: 0,
     });
 }
 
 /// Builds and emits a periodic snapshot from read-only views of the
-/// simulation state. Called by the serial loop and by the parallel
-/// coordinator (both on the thread that owns the cell context).
-#[allow(clippy::too_many_arguments)]
-pub fn emit_snapshot(
-    switches: &[&Switch],
-    losses: u64,
-    fault_drops: u64,
-    faults_fired: u64,
-    events: u64,
-    sim_ps: Ps,
-    limit_ps: Ps,
-    windows: u64,
-    domains: u64,
-) {
+/// simulation state. Called by the event loop, on the thread that owns
+/// the cell context.
+pub fn emit_snapshot(switches: &[Switch], metrics: &Metrics, sim_ps: Ps, limit_ps: Ps) {
     let mut gauges: Vec<SwitchGauge> = Vec::with_capacity(switches.len());
     let mut hot: Vec<QueueGauge> = Vec::new();
     let mut disabled_ports = 0u64;
@@ -271,40 +254,20 @@ pub fn emit_snapshot(
         disabled_ports += sw.n_disabled as u64;
         draining += sw.draining as u64;
     }
-    gauges.sort_by_key(|g| g.switch);
     emit(Snapshot {
         kind: SnapshotKind::Snap,
         cell: CELL.with(|c| c.borrow().clone()),
-        events,
+        events: metrics.events_processed,
         sim_ps,
         limit_ps,
         switches: gauges,
         hot_queues: hot,
-        losses,
-        fault_drops,
-        faults_fired,
+        losses: metrics.drops.total_losses(),
+        fault_drops: metrics.fault_drops,
+        faults_fired: metrics.faults_fired,
         disabled_ports,
         draining,
-        windows,
-        domains,
     })
-}
-
-/// Convenience for the serial loop: emit a snapshot from a contiguous
-/// switch slice and the metrics struct.
-pub fn emit_snapshot_serial(switches: &[Switch], metrics: &Metrics, sim_ps: Ps, limit_ps: Ps) {
-    let refs: Vec<&Switch> = switches.iter().collect();
-    emit_snapshot(
-        &refs,
-        metrics.drops.total_losses(),
-        metrics.fault_drops,
-        metrics.faults_fired,
-        metrics.events_processed,
-        sim_ps,
-        limit_ps,
-        0,
-        0,
-    );
 }
 
 #[cfg(test)]

@@ -457,10 +457,15 @@ pub struct FabricCfg {
     /// Switch-to-switch link rate before oversubscription (see
     /// [`FabricCfg::link_rate_bps`]).
     pub fabric_rate_bps: u64,
-    /// Access-layer oversubscription ratio: host-facing capacity over
-    /// up-link capacity. `1.0` is non-blocking; `4.0` means the up-links
-    /// carry a quarter of it, the classic many-to-one stress for
-    /// shared-buffer schemes.
+    /// Divisor (≥ 1) on the switch-link rates; see
+    /// [`FabricCfg::link_rate_bps`]. Only on the 3-tier fabric is it the
+    /// access layer's ratio of host-facing to up-link capacity. On the
+    /// leaf-spine and the fat-tree it divides `fabric_rate_bps`, so the
+    /// ratio is this knob times the shape's own ratio at `1.0`: 1:1 for
+    /// a fat-tree with `fabric_rate_bps == host_rate_bps`, 2:1 for the
+    /// §6.4 leaf-spine (8 hosts and 4 up-links per leaf). `4.0` cuts
+    /// the up-links to a quarter of their `1.0` rate, the classic
+    /// many-to-one stress for shared-buffer schemes.
     pub oversubscription: f64,
     /// One-way propagation per link.
     pub link_prop_ps: Ps,
@@ -845,7 +850,7 @@ mod tests {
         assert_eq!(sw.queue_location(0, 5), (2, 1));
     }
 
-    /// A 25 G non-blocking fabric of shape `topo`.
+    /// A 25 G fabric of shape `topo`, switch links at the host rate.
     fn cfg(topo: FabricTopo) -> FabricCfg {
         FabricCfg {
             topo,

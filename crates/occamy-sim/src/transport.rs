@@ -783,13 +783,6 @@ impl FlowTable {
         self.rx.push(flow.rx);
         id
     }
-
-    /// Both halves of flow `f`, mutably (the split borrow `on_ack`
-    /// needs).
-    #[inline]
-    pub fn pair_mut(&mut self, f: FlowId) -> (&mut FlowHot, &mut FlowCold) {
-        (&mut self.hot[f as usize], &mut self.cold[f as usize])
-    }
 }
 
 #[cfg(test)]

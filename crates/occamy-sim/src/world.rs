@@ -86,7 +86,7 @@ pub struct World {
     /// Switches, indexed by switch id.
     pub switches: Vec<Switch>,
     /// All transport flows ever added, split hot/cold/rx (see
-    /// [`crate::transport`]).
+    /// [`FlowTable`]).
     pub flows: FlowTable,
     /// All CBR sources ever added.
     pub cbrs: Vec<CbrSource>,
@@ -136,7 +136,7 @@ impl World {
     }
 
     /// Converts every switch to the crosspoint-queued architecture
-    /// (see [`crate::crosspoint`]): each switch's total buffer is
+    /// (see [`crate::Crosspoint`]): each switch's total buffer is
     /// divided into dedicated per-(input, output) crosspoint FIFOs, its
     /// shared-memory partitions stay empty, and `sched` picks which
     /// crosspoint each output serves. Call after the topology builder
@@ -333,7 +333,7 @@ impl World {
                 while let Some((at, ev)) = events.pop_at_most(limit) {
                     engine::execute_event(&mut ctx, events, at, ev);
                     if ctx.metrics.events_processed >= next {
-                        crate::telemetry::emit_snapshot_serial(
+                        crate::telemetry::emit_snapshot(
                             &*ctx.switches,
                             &*ctx.metrics,
                             ctx.now,

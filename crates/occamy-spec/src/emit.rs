@@ -135,9 +135,6 @@ impl SpecDoc {
         let _ = writeln!(w, "min_rto_ms = {}", s.min_rto_ms);
         let _ = writeln!(w, "mss = {}", s.mss);
         let _ = writeln!(w, "expel_rate_factor = {:?}", s.expel_rate_factor);
-        if s.threads != 1 {
-            let _ = writeln!(w, "threads = {}", s.threads);
-        }
 
         if self.telemetry.every_events != 0 {
             let _ = writeln!(w, "\n[telemetry]");

@@ -210,7 +210,10 @@ pub struct TopologySection {
     pub link_prop_us: f64,
     /// Shared buffer per 8 ports, in KB.
     pub buffer_per_8ports_kb: u64,
-    /// Access-layer oversubscription ratio (≥ 1; sweepable).
+    /// Divisor (≥ 1; sweepable) on the switch-link rates. It is the
+    /// access ratio only on `three_tier`; at `1.0` a `leaf_spine` leaf
+    /// keeps its own hosts-to-spines ratio (see
+    /// [`occamy_sim::topology::FabricCfg::oversubscription`]).
     pub oversubscription: f64,
     /// Switch buffer architecture (default shared-memory).
     pub switch_arch: SwitchArch,
@@ -328,11 +331,6 @@ pub struct SimSpec {
     pub mss: u64,
     /// Scale factor on the expulsion token rate (Occamy §5.3).
     pub expel_rate_factor: f64,
-    /// Intra-run worker threads for domain-decomposed parallel
-    /// simulation (default 1 = serial). Results are bit-identical for
-    /// every value; the CLI's `--threads` can raise but never lower
-    /// the effective count.
-    pub threads: u64,
 }
 
 /// The `[telemetry]` section (live-observability cadence).
@@ -692,23 +690,23 @@ fn parse_sim(doc: &Value) -> Result<SimSpec> {
     let ctx = "[sim]";
     let empty = Value::Table(Vec::new());
     let t = doc.get("sim").unwrap_or(&empty);
+    if t.get("threads").is_some() {
+        return Err(SpecError::new(
+            "[sim] threads: intra-run threads were removed (they never beat \
+             the serial loop); delete this key — `occamy-bench --threads N` \
+             now sizes the cell pool, which runs grid cells side by side",
+        ));
+    }
     check_keys(
         ctx,
         t,
-        &[
-            "ecn_k_bytes",
-            "min_rto_ms",
-            "mss",
-            "expel_rate_factor",
-            "threads",
-        ],
+        &["ecn_k_bytes", "min_rto_ms", "mss", "expel_rate_factor"],
     )?;
     Ok(SimSpec {
         ecn_k_bytes: get_u64(ctx, t, "ecn_k_bytes", 180_000)?,
         min_rto_ms: get_u64(ctx, t, "min_rto_ms", 5)?,
         mss: get_u64(ctx, t, "mss", 1_460)?,
         expel_rate_factor: get_f64(ctx, t, "expel_rate_factor", 1.0)?,
-        threads: get_u64(ctx, t, "threads", 1)?,
     })
 }
 
@@ -1052,13 +1050,6 @@ fn check_sim(s: &SimSpec) -> Result<()> {
     rule(ctx, "ecn_k_bytes", ecn >= 1, format!("be ≥ 1 (got {ecn})"))?;
     within(ctx, "min_rto_ms", s.min_rto_ms, 1, u64::MAX / MS)?;
     within(ctx, "mss", s.mss, 1, u32::MAX as u64)?;
-    let threads = s.threads;
-    rule(
-        ctx,
-        "threads",
-        threads >= 1,
-        format!("be ≥ 1 (got {threads})"),
-    )?;
     within(ctx, "expel_rate_factor", s.expel_rate_factor, 0.0, 1_000.0)
 }
 

@@ -4,7 +4,7 @@
 //! and an out-of-range value fails naming its key instead of being
 //! clamped.
 
-use occamy_spec::{spec_from_toml, Num, KNOBS};
+use occamy_spec::{spec_from_json, spec_from_toml, Num, KNOBS};
 
 /// A minimal spec: a k=4 fat-tree and every other value at its default.
 const MINIMAL: &str = "name = \"x\"\n[topology]\nkind = \"fat_tree\"\n";
@@ -54,7 +54,6 @@ fn zero_fanout_and_duration_fail_instead_of_clamping() {
         ("ecn_k_bytes", "sim"),
         ("min_rto_ms", "sim"),
         ("mss", "sim"),
-        ("threads", "sim"),
     ] {
         // The minimal spec ends inside [topology].
         let e = match section {
@@ -70,6 +69,30 @@ fn zero_fanout_and_duration_fail_instead_of_clamping() {
     // The grid rejects the same zero with the same rule.
     let grid = load_err("[grid]\nquery_fanout = [0]\n");
     assert!(grid.starts_with("[grid] query_fanout: [traffic]: 'query_fanout' must be in 1..="));
+}
+
+/// `[sim] threads` fails naming the key and saying why, wherever the
+/// document comes from.
+fn assert_threads_refused(e: &str) {
+    assert!(e.starts_with("[sim] threads: "), "{e}");
+    assert!(e.contains("intra-run threads were removed"), "{e}");
+    assert!(e.contains("--threads N` now sizes the cell pool"), "{e}");
+}
+
+#[test]
+fn threads_key_is_refused_in_toml_json_and_plan_specs() {
+    for n in [0, 1, 8] {
+        assert_threads_refused(&load_err(&format!("[sim]\nthreads = {n}\n")));
+    }
+    let json = r#"{"name": "x", "topology": {"kind": "fat_tree"}, "sim": {"threads": 8}}"#;
+    assert_threads_refused(spec_from_json(json).unwrap_err().message());
+    // A shard plan embeds the canonical TOML, which wrote `threads`
+    // as the last `[sim]` key whenever it was not 1.
+    let canonical = spec_from_toml(MINIMAL).unwrap().to_toml();
+    let key = "expel_rate_factor = 1.0\n";
+    assert!(canonical.contains(key), "{canonical}");
+    let embedded = canonical.replace(key, &format!("{key}threads = 8\n"));
+    assert_threads_refused(spec_from_toml(&embedded).unwrap_err().message());
 }
 
 #[test]

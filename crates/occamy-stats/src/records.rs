@@ -68,11 +68,6 @@ impl FlowSet {
         FlowSet::default()
     }
 
-    /// Creates a set from records.
-    pub fn from_records(records: Vec<FlowRecord>) -> Self {
-        FlowSet { records }
-    }
-
     /// Adds one record.
     pub fn push(&mut self, r: FlowRecord) {
         self.records.push(r);

@@ -44,11 +44,6 @@ impl DoubleBinaryTree {
         }
     }
 
-    /// Number of ranks.
-    pub fn n_ranks(&self) -> usize {
-        self.n
-    }
-
     /// Parent of `rank` in `tree` (0 or 1); `None` for the root.
     ///
     /// # Panics
