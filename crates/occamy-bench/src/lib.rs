@@ -32,12 +32,9 @@
 //!   journaling each finished cell, and merges the journals into the
 //!   byte-identical report a direct run produces (`occamy-bench shard
 //!   plan|run|merge`); `shard run --resume` restarts a killed shard
-//!   from where its journal stopped;
-//! - [`fleet`] — the supervising coordinator (`occamy-bench fleet`):
-//!   spawns one `shard run --resume` worker process per shard, watches
-//!   each journal grow, retries dead or hung workers with capped
-//!   exponential backoff and merges the survivors;
-//! - [`retry`] — the shared capped-backoff retry helper behind both.
+//!   from where its journal stopped, which is also how a long grid
+//!   survives a crash on one machine;
+//! - [`retry`] — the capped-backoff retry behind the journal appends.
 //!
 //! # CLI
 //!
@@ -57,7 +54,6 @@
 
 pub mod fabric;
 pub mod figs;
-pub mod fleet;
 pub mod live;
 pub mod registry;
 pub mod report;

@@ -228,30 +228,10 @@ struct ScenView {
     tier_hist: [Vec<f64>; 3],
 }
 
-/// One shard's row in the fleet progress table.
-struct FleetShardView {
-    shard: u64,
-    state: String,
-    attempts: u64,
-    cells_done: u64,
-    cells_planned: u64,
-}
-
-/// Snapshot of a fleet coordinator's `fleet.status.json`.
-struct FleetView {
-    scenario: String,
-    workers: u64,
-    retries: u64,
-    shards: Vec<FleetShardView>,
-}
-
 /// Terminal dashboard state, fed one JSONL record at a time — either
-/// straight off the bus (`run --live`) or tailed from disk (`watch`) —
-/// plus, when a fleet coordinator is running, its latest
-/// `fleet.status.json` snapshot.
+/// straight off the bus (`run --live`) or tailed from disk (`watch`).
 struct Dashboard {
     scenarios: BTreeMap<String, ScenView>,
-    fleet: Option<FleetView>,
 }
 
 fn spark(hist: &[f64]) -> String {
@@ -280,44 +260,7 @@ impl Dashboard {
     fn new() -> Dashboard {
         Dashboard {
             scenarios: BTreeMap::new(),
-            fleet: None,
         }
-    }
-
-    /// Replaces the fleet section with a freshly-read `fleet.status.json`
-    /// record (kind `fleet`); other kinds are ignored.
-    fn feed_fleet(&mut self, rec: &Json) {
-        if rec.get("kind").and_then(Json::as_str) != Some("fleet") {
-            return;
-        }
-        let u64_of = |j: &Json, k: &str| j.get(k).and_then(Json::as_u64).unwrap_or(0);
-        let shards = rec
-            .get("shards")
-            .and_then(Json::as_arr)
-            .unwrap_or(&[])
-            .iter()
-            .map(|s| FleetShardView {
-                shard: u64_of(s, "shard"),
-                state: s
-                    .get("state")
-                    .and_then(Json::as_str)
-                    .unwrap_or("?")
-                    .to_string(),
-                attempts: u64_of(s, "attempts"),
-                cells_done: u64_of(s, "cells_done"),
-                cells_planned: u64_of(s, "cells_planned"),
-            })
-            .collect();
-        self.fleet = Some(FleetView {
-            scenario: rec
-                .get("scenario")
-                .and_then(Json::as_str)
-                .unwrap_or("?")
-                .to_string(),
-            workers: u64_of(rec, "workers"),
-            retries: u64_of(rec, "retries"),
-            shards,
-        });
     }
 
     /// Folds one parsed JSONL record into the view.
@@ -419,39 +362,6 @@ impl Dashboard {
             self.scenarios.len(),
             total_snaps
         ));
-        if let Some(f) = &self.fleet {
-            let count = |s: &str| f.shards.iter().filter(|x| x.state == s).count();
-            line(String::new());
-            line(format!(
-                "  fleet '{}' — {} worker(s): {} running, {} pending, {} done, {} failed, {} retr{}",
-                f.scenario,
-                f.workers,
-                count("running"),
-                count("pending"),
-                count("done"),
-                count("failed"),
-                f.retries,
-                if f.retries == 1 { "y" } else { "ies" },
-            ));
-            for s in &f.shards {
-                line(format!(
-                    "    shard {:>2}  {:<8} attempt {}  cells {:>3}/{:<3} {}",
-                    s.shard,
-                    s.state,
-                    s.attempts,
-                    s.cells_done,
-                    s.cells_planned,
-                    bar(
-                        if s.cells_planned > 0 {
-                            s.cells_done as f64 / s.cells_planned as f64
-                        } else {
-                            0.0
-                        },
-                        20
-                    ),
-                ));
-            }
-        }
         for (name, v) in &self.scenarios {
             line(String::new());
             line(format!(
@@ -508,14 +418,6 @@ pub fn watch(dir: &Path) -> std::io::Result<()> {
     let mut seen_any = false;
     let started = Instant::now();
     let mut last_data = Instant::now();
-    // A fleet coordinator's status file may sit in the watched dir
-    // itself (watch shards/) or in a shards/ subdir (watch .).
-    let fleet_candidates = [
-        dir.join("fleet.status.json"),
-        dir.join("shards").join("fleet.status.json"),
-        root.join("fleet.status.json"),
-    ];
-    let mut last_fleet = String::new();
     eprint!("\x1b[2J\x1b[H\x1b[?25l");
     eprintln!("watching {} …\x1b[K", root.display());
     loop {
@@ -526,19 +428,6 @@ pub fn watch(dir: &Path) -> std::io::Result<()> {
                 dash.feed(&rec);
                 fresh = true;
             }
-        }
-        for path in &fleet_candidates {
-            let Ok(text) = std::fs::read_to_string(path) else {
-                continue;
-            };
-            if text != last_fleet {
-                if let Ok(rec) = Json::parse(&text) {
-                    dash.feed_fleet(&rec);
-                    fresh = true;
-                }
-                last_fleet = text;
-            }
-            break;
         }
         if fresh {
             seen_any = true;

@@ -7,7 +7,6 @@
 //! occamy-bench shard plan <name> | --spec FILE  --shards N [--quick|--smoke] [--out-dir DIR]
 //! occamy-bench shard run <plan.json> [--serial] [--resume]
 //! occamy-bench shard merge <journal.cells.jsonl ...> [--out-dir DIR]
-//! occamy-bench fleet <plan-dir> | <name> | --spec FILE [--workers N] [--retries N] [--timeout-s S]
 //! occamy-bench watch <dir>
 //! ```
 //!
@@ -21,12 +20,11 @@
 //! The `shard` subcommands split one scenario's grid into self-contained
 //! plan files, execute them independently (any machine with this binary)
 //! and merge their journals into the byte-identical report a direct
-//! run produces — see `occamy_bench::shard`. `fleet` supervises a whole
-//! plan set on this machine: one worker process per shard, crash/hang
-//! detection, resume-from-journal retries and a final merge — see
-//! `occamy_bench::fleet`.
+//! run produces — see `occamy_bench::shard`. They are also the
+//! crash-tolerant way to run a long grid on one machine: a `shard run`
+//! that dies is restarted with `--resume`, which recomputes only the
+//! cells its journal lacks.
 
-use occamy_bench::fleet::{self, FleetOptions};
 use occamy_bench::registry::{find_scenario, registry};
 use occamy_bench::runner;
 use occamy_bench::scenario::{Scale, Scenario};
@@ -54,19 +52,9 @@ commands:
   shard merge <f...>   merge the shards' .cells.jsonl journals into
                        the byte-identical BENCH_<name>.json +
                        results/*.csv of a direct run
-  fleet <dir|name>     run a whole plan set under supervision: one
-                       `shard run --resume` worker process per shard,
-                       crashed/hung workers retried with backoff from
-                       their journals, then merged; <dir> holds
-                       existing plans, or give a name / --spec FILE
-                       with --shards N to plan first. Writes live
-                       progress to <dir>/fleet.status.json (watch
-                       renders it)
   watch <dir>          live terminal dashboard tailing the telemetry
                        streams (results/*_telemetry.jsonl) of a run
-                       started with --telemetry, plus the fleet
-                       progress table of a fleet.status.json; exits
-                       when quiet
+                       started with --telemetry; exits when quiet
 
 options:
   --spec FILE          load a declarative scenario spec (.toml/.json);
@@ -76,17 +64,11 @@ options:
   --serial             execute cells on one thread (baseline / profiling)
   --threads N          cell worker pool size (default: all cores;
                        also: RAYON_NUM_THREADS); not with --serial
-  --shards N           shard count for `shard plan` / planning `fleet`
+  --shards N           shard count for `shard plan`
   --resume             `shard run`: validate <plan>.cells.jsonl and
                        recompute only the cells it lacks
-  --workers N          `fleet`: max concurrent worker processes
-                       (default: min(shards, cores))
-  --retries N          `fleet`: re-dispatches per shard after a crash
-                       or hang (default 2)
-  --timeout-s S        `fleet`: kill and retry a worker whose journal
-                       gains no cell for S seconds (default: off)
   --out-dir DIR        output directory (`shard plan`: default shards/;
-                       `shard merge` / `fleet`: default .)
+                       `shard merge`: default .)
   --freeze-perf        zero all wall-clock perf fields so reports are
                        byte-reproducible (also: OCCAMY_FREEZE_PERF=1)
   --telemetry          stream live run telemetry to
@@ -108,9 +90,6 @@ struct Args {
     shards: Option<usize>,
     out_dir: Option<String>,
     resume: bool,
-    workers: usize,
-    retries: u32,
-    timeout_s: u64,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -122,9 +101,6 @@ fn parse_args() -> Result<Args, String> {
     let mut shards = None;
     let mut out_dir = None;
     let mut resume = false;
-    let mut workers = 0usize;
-    let mut retries = 2u32;
-    let mut timeout_s = 0u64;
     let mut threads = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -154,25 +130,6 @@ fn parse_args() -> Result<Args, String> {
                 out_dir = Some(args.next().ok_or("--out-dir needs a directory path")?);
             }
             "--resume" => resume = true,
-            "--workers" => {
-                workers = args
-                    .next()
-                    .and_then(|v| v.parse::<usize>().ok())
-                    .filter(|&n| n > 0)
-                    .ok_or("--workers needs a positive integer")?;
-            }
-            "--retries" => {
-                retries = args
-                    .next()
-                    .and_then(|v| v.parse::<u32>().ok())
-                    .ok_or("--retries needs a non-negative integer")?;
-            }
-            "--timeout-s" => {
-                timeout_s = args
-                    .next()
-                    .and_then(|v| v.parse::<u64>().ok())
-                    .ok_or("--timeout-s needs a non-negative integer")?;
-            }
             "--threads" => {
                 let n = args
                     .next()
@@ -209,9 +166,6 @@ fn parse_args() -> Result<Args, String> {
         shards,
         out_dir,
         resume,
-        workers,
-        retries,
-        timeout_s,
     })
 }
 
@@ -336,59 +290,6 @@ fn shard_command(args: &Args) -> Result<(), String> {
     }
 }
 
-/// `occamy-bench fleet`: resolve the plan set (an existing plan
-/// directory, or plan one first from a scenario name / `--spec`), then
-/// run it under supervision and merge.
-fn fleet_command(args: &Args) -> Result<(), String> {
-    let plans = match (args.names.as_slice(), args.specs.as_slice()) {
-        ([dir], []) if Path::new(dir).is_dir() => fleet::plans_in_dir(Path::new(dir))?,
-        ([name], []) => {
-            let source = ShardSource::from_name(name)?;
-            plan_for_fleet(args, &source)?
-        }
-        ([], [spec]) => {
-            let source = ShardSource::Spec(spec);
-            plan_for_fleet(args, &source)?
-        }
-        ([], []) => {
-            return Err(
-                "`fleet` needs a plan directory, a scenario name or one --spec FILE".to_string(),
-            )
-        }
-        _ => {
-            return Err(
-                "`fleet` takes exactly one plan directory, scenario name or --spec FILE"
-                    .to_string(),
-            )
-        }
-    };
-    let opts = FleetOptions {
-        workers: args.workers,
-        retries: args.retries,
-        timeout: std::time::Duration::from_secs(args.timeout_s),
-        serial_workers: !args.parallel,
-        out_root: PathBuf::from(args.out_dir.clone().unwrap_or_else(|| ".".to_string())),
-    };
-    let merged = fleet::fleet(&plans, &opts)?;
-    println!("wrote {}", merged.display());
-    Ok(())
-}
-
-/// Plans a fresh shard set for `fleet <name>` / `fleet --spec FILE`
-/// into `shards/` (the `shard plan` default).
-fn plan_for_fleet(args: &Args, source: &ShardSource) -> Result<Vec<PathBuf>, String> {
-    let shards = args
-        .shards
-        .ok_or("planning a fleet needs --shards N (or point it at an existing plan dir)")?;
-    let paths = shard::plan(source, args.scale, shards, Path::new("shards"))?;
-    println!(
-        "planned '{}' ({} scale) into {shards} shards under shards/",
-        source.scenario().name(),
-        args.scale
-    );
-    Ok(paths)
-}
-
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(args) => args,
@@ -440,13 +341,6 @@ fn main() -> ExitCode {
             run(selected, args.scale, args.parallel)
         }
         "shard" => match shard_command(&args) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        },
-        "fleet" => match fleet_command(&args) {
             Ok(()) => ExitCode::SUCCESS,
             Err(e) => {
                 eprintln!("error: {e}");

@@ -1,14 +1,12 @@
-//! Capped-exponential-backoff retry, shared by every writer whose
-//! failure would throw away simulated work: `shard run`'s journal
-//! appends retry transient I/O errors in-process, and the fleet
-//! coordinator ([`crate::fleet`]) schedules worker re-dispatch with the
-//! same delay curve.
+//! Capped-exponential-backoff retry for writers whose failure would
+//! throw away simulated work: `shard run`'s journal appends retry
+//! transient I/O errors in-process before failing the shard.
 
 use std::time::Duration;
 
 /// The delay before retry attempt `attempt` (1-based): `base · 2^(a−1)`,
 /// capped. Attempt 0 (the first try) has no delay.
-pub fn backoff_delay(attempt: u32, base: Duration, cap: Duration) -> Duration {
+fn backoff_delay(attempt: u32, base: Duration, cap: Duration) -> Duration {
     if attempt == 0 {
         return Duration::ZERO;
     }
@@ -16,11 +14,11 @@ pub fn backoff_delay(attempt: u32, base: Duration, cap: Duration) -> Duration {
     base.checked_mul(factor).unwrap_or(cap).min(cap)
 }
 
-/// Runs `op` up to `attempts` times, sleeping [`backoff_delay`] between
-/// tries and warning to stderr on each failure — `what` names the
-/// artifact (and the work at stake) so an operator reading the log
-/// knows what a persistent failure loses. Returns the first success, or
-/// an error naming both the first and last failures.
+/// Runs `op` up to `attempts` times, sleeping `base · 2^(a−1)` (capped
+/// at `cap`) before retry `a` and warning to stderr on each failure —
+/// `what` names the artifact (and the work at stake) so an operator
+/// reading the log knows what a persistent failure loses. Returns the
+/// first success, or an error naming both the first and last failures.
 pub fn retry_with_backoff<T, E: std::fmt::Display>(
     what: &str,
     attempts: u32,

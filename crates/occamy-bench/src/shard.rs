@@ -1,12 +1,13 @@
 //! Sharded grid execution: **plan → run → merge** with byte-identical
 //! results.
 //!
-//! The paper-faithful 128-host × 100 G sweeps
-//! (`specs/paper_fabric_128h.toml`) are far too slow for one machine,
-//! but grid cells are independent, `Send`-safe and seed-deterministic —
-//! so a grid can be split into shards, each shard executed anywhere,
-//! and the shards' results reassembled into the **exact** report a
-//! single-machine run would have produced:
+//! The paper-faithful fabric sweeps (`specs/paper_fabric_128h.toml`,
+//! `specs/paper_fabric_1024h.toml`) take hours of cell time, but grid
+//! cells are independent, `Send`-safe and seed-deterministic — so a
+//! grid can be split into shards, each shard executed anywhere (on other
+//! machines, or side by side on this one), and the shards' results
+//! reassembled into the **exact** report a single-machine run would
+//! have produced:
 //!
 //! 1. [`plan`] splits a scenario's grid into `N` shard files
 //!    (`shards/<name>.shard-<i>.json`). Each file is versioned and
@@ -566,21 +567,6 @@ pub fn journal_path(plan_path: &Path) -> PathBuf {
     }
 }
 
-/// How many cells a plan's journal holds: its line count minus the
-/// header, 0 while no journal exists. No JSON is parsed, so the fleet
-/// can poll it cheaply, and polling is safe while `shard run` appends,
-/// because every append replaces the file by rename: a reader sees the
-/// old journal or the new one, never a torn line.
-pub fn journaled_cells(plan_path: &Path) -> usize {
-    std::fs::read(journal_path(plan_path)).map_or(0, |bytes| {
-        bytes
-            .iter()
-            .filter(|&&b| b == b'\n')
-            .count()
-            .saturating_sub(1)
-    })
-}
-
 /// Crash-safe append-only journal writer. The full journal text is held
 /// in memory; every append rewrites a sibling temp file and renames it
 /// over the journal, so a SIGKILL at any instant leaves either the
@@ -761,12 +747,12 @@ fn check_cell_matches(ctx: &str, cell: &CellSpec, reference: &[CellSpec]) -> Res
 // run
 // -------------------------------------------------------------------
 
-/// Deterministic crash hook for the fleet-resilience tests:
+/// Deterministic crash hook for the crash-resume tests:
 /// `OCCAMY_SHARD_KILL_AFTER="<shard>:<k>"` makes a `shard run` of shard
 /// `<shard>` SIGKILL itself after journaling `<k>` cells — but only
-/// when it started with an empty journal, so the fleet's retried,
-/// resumed attempt runs to completion. Returns the `k` applying to
-/// this run, if any.
+/// when it started with an empty journal, so the `shard run --resume`
+/// that follows runs to completion. Returns the `k` applying to this
+/// run, if any.
 fn kill_after(shard: usize, journaled_at_start: usize) -> Option<usize> {
     let spec = std::env::var("OCCAMY_SHARD_KILL_AFTER").ok()?;
     if journaled_at_start > 0 {
@@ -1061,76 +1047,6 @@ pub fn merge(journals: &[PathBuf], out_root: &Path) -> Result<PathBuf, String> {
     // freeze-perf.
     runner::render_into(&run, scale, Duration::ZERO, out_root)
         .map_err(|e| format!("cannot write merged report: {e}"))
-}
-
-// -------------------------------------------------------------------
-// Fleet support
-// -------------------------------------------------------------------
-
-/// Summary of one plan file's header, as the fleet coordinator
-/// ([`crate::fleet`]) needs it to validate and supervise a plan set.
-#[derive(Debug)]
-pub struct PlanInfo {
-    /// The plan file.
-    pub path: PathBuf,
-    /// Scenario name.
-    pub scenario: String,
-    /// This shard's id.
-    pub shard: usize,
-    /// Total shards in the plan set.
-    pub shards: usize,
-    /// Scale the plan was generated at.
-    pub scale: Scale,
-    /// Cells assigned to this shard.
-    pub cells: usize,
-}
-
-/// Reads one plan file's header (validating format version and kind).
-pub fn plan_info(path: &Path) -> Result<PlanInfo, String> {
-    let file = read_shard_file(path, "plan")?;
-    let cells = file
-        .doc
-        .get("cells")
-        .and_then(Json::as_arr)
-        .map(|a| a.len())
-        .ok_or_else(|| format!("{}: no 'cells' array", file.ctx()))?;
-    Ok(PlanInfo {
-        path: path.to_path_buf(),
-        scenario: file.scenario,
-        shard: file.shard,
-        shards: file.shards,
-        scale: file.scale,
-        cells,
-    })
-}
-
-/// The cells a shard still owes, as `"index [grid label]"` strings:
-/// planned cells not yet present in the shard's journal (all of them
-/// when no journal exists; likewise when the journal is unreadable —
-/// corrupt journals count for nothing). The fleet coordinator reports
-/// these when a shard exhausts its retries, so a degraded run ends
-/// with the exact sweep points still owed rather than a bare count.
-pub fn unfinished_cells(plan_path: &Path) -> Result<Vec<String>, String> {
-    let file = read_shard_file(plan_path, "plan")?;
-    let ctx = file.ctx();
-    let planned: Vec<(usize, String)> = file
-        .doc
-        .get("cells")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("{ctx}: no 'cells' array"))?
-        .iter()
-        .map(|c| decode_cell(&ctx, c, file.scale).map(|s| (s.index, s.label())))
-        .collect::<Result<_, _>>()?;
-    let jpath = journal_path(plan_path);
-    let have: HashSet<usize> = match read_journal(&jpath) {
-        Ok((_, outcomes, _)) => outcomes.iter().map(|o| o.spec.index).collect(),
-        Err(_) => HashSet::new(),
-    };
-    Ok(planned
-        .into_iter()
-        .filter(|(i, _)| !have.contains(i))
-        .map(|(i, l)| format!("{i} [{l}]"))
-        .collect())
 }
 
 #[cfg(test)]

@@ -1,12 +1,12 @@
 //! The fault-tolerance acceptance bar: **kill → resume → merge must be
 //! byte-identical to an uninterrupted direct run**, journal corruption
-//! must fail naming the shard, and the fleet coordinator must survive a
-//! SIGKILLed worker by re-dispatching it — with the retried attempt
-//! recomputing only the cells the dead one never journaled.
+//! must fail naming the shard, and a `shard run` SIGKILLed mid-grid must
+//! finish under `shard run --resume` by recomputing only the cells it
+//! never journaled.
 //!
 //! Everything runs under `OCCAMY_FREEZE_PERF=1` (as the CI
-//! `fleet-resilience` job does), which is what makes `cmp`-level
-//! equality meaningful across kills and machines.
+//! `crash-resume` job does), which is what makes `cmp`-level equality
+//! meaningful across kills and machines.
 
 use occamy_bench::runner::{execute, render_into};
 use occamy_bench::scenario::Scale;
@@ -24,7 +24,7 @@ static DIR_SEQ: AtomicUsize = AtomicUsize::new(0);
 /// A fresh scratch directory per call (tests run concurrently).
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
-        "occamy_fleet_resume_{}_{tag}_{}",
+        "occamy_shard_resume_{}_{tag}_{}",
         std::process::id(),
         DIR_SEQ.fetch_add(1, Ordering::Relaxed)
     ));
@@ -87,7 +87,7 @@ fn assert_matches_direct(merged_root: &Path, tag: &str) {
 
 /// Plans fig12 (smoke: 4 cells) into 2 shards under `root/shards` and
 /// runs both serially, journaling as they go. Returns (plans, journals).
-fn fig12_fleet_artifacts(root: &Path) -> (Vec<PathBuf>, Vec<PathBuf>) {
+fn fig12_shard_artifacts(root: &Path) -> (Vec<PathBuf>, Vec<PathBuf>) {
     freeze();
     let source = ShardSource::from_name("fig12").unwrap();
     let plans = shard::plan(&source, Scale::Smoke, 2, &root.join("shards")).unwrap();
@@ -96,6 +96,18 @@ fn fig12_fleet_artifacts(root: &Path) -> (Vec<PathBuf>, Vec<PathBuf>) {
         .map(|p| shard::run_shard(p, false, false).unwrap())
         .collect();
     (plans, journals)
+}
+
+/// Runs the `occamy-bench` binary with `args` in `dir`, perf fields
+/// frozen, plus the extra environment `env`.
+fn bench(dir: &Path, args: &[&str], env: &[(&str, &str)]) -> std::process::Output {
+    std::process::Command::new(env!("CARGO_BIN_EXE_occamy-bench"))
+        .args(args)
+        .current_dir(dir)
+        .env("OCCAMY_FREEZE_PERF", "1")
+        .envs(env.iter().copied())
+        .output()
+        .expect("occamy-bench spawns")
 }
 
 /// Truncates a journal to its header plus the first `keep` outcome
@@ -112,7 +124,7 @@ fn truncate_journal(journal: &Path, keep: usize) -> String {
 #[test]
 fn kill_and_resume_merges_byte_identical_to_direct_run() {
     let root = scratch("resume");
-    let (plans, journals) = fig12_fleet_artifacts(&root);
+    let (plans, journals) = fig12_shard_artifacts(&root);
 
     // Simulate shard 0 dying one cell in: its journal lacks the second
     // outcome.
@@ -144,7 +156,7 @@ fn kill_and_resume_merges_byte_identical_to_direct_run() {
 #[test]
 fn failed_journal_write_fails_the_shard() {
     let root = scratch("jwrite");
-    let (plans, journals) = fig12_fleet_artifacts(&root);
+    let (plans, journals) = fig12_shard_artifacts(&root);
     // Shard 0 (cells 0 and 2) was killed one cell in, and now its
     // journal cannot be rewritten: a directory squats on the temp path
     // every append renames from.
@@ -167,11 +179,11 @@ fn bare_plan_name_run_from_its_directory_journals_every_cell() {
     freeze();
     let source = ShardSource::from_name("fig12").unwrap();
     let plans = shard::plan(&source, Scale::Smoke, 2, &root.join("shards")).unwrap();
-    let output = std::process::Command::new(bench_binary())
-        .args(["shard", "run", "fig12.shard-0.json", "--freeze-perf"])
-        .current_dir(root.join("shards"))
-        .output()
-        .expect("shard run spawns");
+    let output = bench(
+        &root.join("shards"),
+        &["shard", "run", "fig12.shard-0.json"],
+        &[],
+    );
     assert!(
         output.status.success(),
         "shard run from the plan directory must succeed\nstderr:\n{}",
@@ -186,7 +198,7 @@ fn bare_plan_name_run_from_its_directory_journals_every_cell() {
 #[test]
 fn torn_journal_line_fails_naming_the_shard() {
     let root = scratch("torn");
-    let (plans, journals) = fig12_fleet_artifacts(&root);
+    let (plans, journals) = fig12_shard_artifacts(&root);
     let journal = &journals[1];
     let text = std::fs::read_to_string(journal).unwrap();
 
@@ -212,7 +224,7 @@ fn torn_journal_line_fails_naming_the_shard() {
 #[test]
 fn duplicated_journal_cell_fails_naming_the_shard() {
     let root = scratch("dupcell");
-    let (plans, journals) = fig12_fleet_artifacts(&root);
+    let (plans, journals) = fig12_shard_artifacts(&root);
     let journal = &journals[1];
     let mut text = std::fs::read_to_string(journal).unwrap();
     let last = text.lines().last().unwrap().to_string();
@@ -237,7 +249,7 @@ fn duplicated_journal_cell_fails_naming_the_shard() {
 #[test]
 fn foreign_journal_is_rejected_on_resume() {
     let root = scratch("foreign");
-    let (plans, journals) = fig12_fleet_artifacts(&root);
+    let (plans, journals) = fig12_shard_artifacts(&root);
     // Shard 1's journal dropped in place of shard 0's: header mismatch.
     std::fs::copy(&journals[1], &journals[0]).unwrap();
     let err = shard::run_shard(&plans[0], false, true).unwrap_err();
@@ -248,133 +260,76 @@ fn foreign_journal_is_rejected_on_resume() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-// -------------------------------------------------------------------
-// Fleet coordinator, end to end against the real binary
-// -------------------------------------------------------------------
-
-fn bench_binary() -> &'static str {
-    env!("CARGO_BIN_EXE_occamy-bench")
-}
-
-/// The tentpole acceptance test: a fleet whose shard-1 worker SIGKILLs
-/// itself one cell in must finish via retry + resume, recompute only
-/// the unjournaled cell, and merge byte-identical to a direct run.
+/// A `shard run` that SIGKILLs itself one cell in (the
+/// `OCCAMY_SHARD_KILL_AFTER` hook) leaves exactly the header and that
+/// cell in its journal; `shard run --resume` recomputes only the other
+/// cell, and the merge is byte-identical to a direct run.
+#[cfg(unix)]
 #[test]
-fn fleet_survives_a_sigkilled_worker_and_merges_byte_identical() {
-    let root = scratch("fleet_kill");
+fn sigkilled_shard_run_resumes_and_merges_byte_identical() {
+    use std::os::unix::process::ExitStatusExt;
+
+    let root = scratch("crash_resume");
     freeze();
     let source = ShardSource::from_name("fig12").unwrap();
     let plans = shard::plan(&source, Scale::Smoke, 2, &root.join("shards")).unwrap();
+    let plan1 = "shards/fig12.shard-1.json";
 
-    let output = std::process::Command::new(bench_binary())
-        .args(["fleet"])
-        .arg(root.join("shards"))
-        .args(["--serial", "--workers", "2", "--retries", "2", "--out-dir"])
-        .arg(&root)
-        .env("OCCAMY_FREEZE_PERF", "1")
-        .env("OCCAMY_SHARD_KILL_AFTER", "1:1")
-        .env("OCCAMY_FLEET_BACKOFF_MS", "10")
-        .output()
-        .expect("fleet run spawns");
-    let stdout = String::from_utf8_lossy(&output.stdout);
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(
-        output.status.success(),
-        "fleet must recover from the kill\nstdout:\n{stdout}\nstderr:\n{stderr}"
+    let killed = bench(
+        &root,
+        &["shard", "run", plan1, "--serial"],
+        &[("OCCAMY_SHARD_KILL_AFTER", "1:1")],
     );
-    assert!(
-        stderr.contains("shard 1 attempt 1 failed") && stderr.contains("retrying in"),
-        "the killed worker must be observed and retried:\n{stderr}"
-    );
-    assert!(
-        stdout.contains("shard 1 done (attempt 2)"),
-        "the retried attempt must complete:\n{stdout}"
-    );
-
-    // The worker log proves the retry resumed instead of starting over.
-    let log = std::fs::read_to_string(root.join("shards/fig12.shard-1.log")).unwrap();
-    assert!(
-        log.contains("resuming shard 1 of 'fig12': 1 of 2 cells journaled, 1 to run"),
-        "attempt 2 must resume from the journal:\n{log}"
-    );
-    // And the journal holds exactly header + 2 cells — the journaled
-    // cell was not recomputed.
-    let journal = std::fs::read_to_string(shard::journal_path(&plans[1])).unwrap();
-    assert_eq!(journal.lines().count(), 3, "journal:\n{journal}");
-    // Plans, journals, worker logs and the status mirror are all the
-    // fleet leaves next to the plans.
-    let mut names: Vec<String> = std::fs::read_dir(root.join("shards"))
-        .unwrap()
-        .map(|e| e.unwrap().file_name().to_string_lossy().to_string())
-        .collect();
-    names.sort();
     assert_eq!(
-        names,
-        [
-            "fig12.shard-0.cells.jsonl",
-            "fig12.shard-0.json",
-            "fig12.shard-0.log",
-            "fig12.shard-1.cells.jsonl",
-            "fig12.shard-1.json",
-            "fig12.shard-1.log",
-            "fleet.status.json"
-        ]
+        killed.status.signal(),
+        Some(9),
+        "the shard run must die by SIGKILL: {:?}\nstderr:\n{}",
+        killed.status,
+        String::from_utf8_lossy(&killed.stderr)
+    );
+    let journal = shard::journal_path(&plans[1]);
+    let text = std::fs::read_to_string(&journal).unwrap();
+    assert_eq!(
+        text.lines().count(),
+        2,
+        "header + 1 journaled cell:\n{text}"
     );
 
-    assert_matches_direct(&root, "fleet_kill");
+    let resumed = bench(&root, &["shard", "run", plan1, "--serial", "--resume"], &[]);
+    let stdout = String::from_utf8_lossy(&resumed.stdout);
+    assert!(
+        resumed.status.success(),
+        "the resumed run must finish\nstdout:\n{stdout}\nstderr:\n{}",
+        String::from_utf8_lossy(&resumed.stderr)
+    );
+    assert!(
+        stdout.contains("resuming shard 1 of 'fig12': 1 of 2 cells journaled, 1 to run"),
+        "the resumed run must replay the journal:\n{stdout}"
+    );
+    let resumed_text = std::fs::read_to_string(&journal).unwrap();
+    assert!(
+        resumed_text.starts_with(&text),
+        "resume must append to the surviving journal, not rewrite it"
+    );
+    assert_eq!(
+        resumed_text.lines().count(),
+        3,
+        "the journaled cell is not recomputed:\n{resumed_text}"
+    );
 
-    // The status mirror records the recovery for `occamy-bench watch`.
-    let status = std::fs::read_to_string(root.join("shards/fleet.status.json")).unwrap();
-    assert!(
-        status.contains("\"kind\":\"fleet\"") && status.contains("\"retries\":1"),
-        "{status}"
+    let shard0 = bench(&root, &["shard", "run", "shards/fig12.shard-0.json"], &[]);
+    assert!(shard0.status.success(), "{shard0:?}");
+    let merged = bench(
+        &root,
+        &[
+            "shard",
+            "merge",
+            "shards/fig12.shard-0.cells.jsonl",
+            "shards/fig12.shard-1.cells.jsonl",
+        ],
+        &[],
     );
-    let _ = std::fs::remove_dir_all(&root);
-}
-
-/// Degraded mode: with retries exhausted the fleet must finish the
-/// healthy shard, name the dead shard's unfinished cells by grid
-/// label, and exit nonzero — no merge, no panic.
-#[test]
-fn fleet_degrades_gracefully_when_retries_are_exhausted() {
-    let root = scratch("fleet_degraded");
-    freeze();
-    let source = ShardSource::from_name("fig12").unwrap();
-    shard::plan(&source, Scale::Smoke, 2, &root.join("shards")).unwrap();
-
-    let output = std::process::Command::new(bench_binary())
-        .args(["fleet"])
-        .arg(root.join("shards"))
-        .args(["--serial", "--workers", "2", "--retries", "0", "--out-dir"])
-        .arg(&root)
-        .env("OCCAMY_FREEZE_PERF", "1")
-        .env("OCCAMY_SHARD_KILL_AFTER", "0:1")
-        .env("OCCAMY_FLEET_BACKOFF_MS", "10")
-        .output()
-        .expect("fleet run spawns");
-    let stdout = String::from_utf8_lossy(&output.stdout);
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(
-        !output.status.success(),
-        "a permanently failed shard must fail the fleet\nstdout:\n{stdout}\nstderr:\n{stderr}"
-    );
-    assert!(
-        stderr.contains("FAILED permanently"),
-        "the dead shard must be reported:\n{stderr}"
-    );
-    assert!(
-        stderr.contains("unfinished cells") && stderr.contains("shard 0 (1 attempts): 2 ["),
-        "the cells still owed must be named by index and grid label:\n{stderr}"
-    );
-    // The healthy shard still finished — its journal is on disk for a
-    // later resume.
-    assert!(
-        stdout.contains("shard 1 done"),
-        "other shards must finish despite the failure:\n{stdout}"
-    );
-    assert!(
-        !root.join("BENCH_fig12.json").exists(),
-        "no partial merge in degraded mode"
-    );
+    assert!(merged.status.success(), "{merged:?}");
+    assert_matches_direct(&root, "crash_resume");
     let _ = std::fs::remove_dir_all(&root);
 }

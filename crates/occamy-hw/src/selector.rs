@@ -11,9 +11,12 @@ use occamy_core::QueueBitmap;
 /// arbiter, yielding the index of the next queue to head-drop from.
 ///
 /// The paper implements this in 215 lines of Verilog for 64 queues; it
-/// dominates Occamy's hardware cost (Table 1: ~1262 LUTs). The
-/// behavioral model here is driven by the cycle-level
-/// [`crate::TrafficManager`] and by `occamy-sim`'s expulsion process.
+/// dominates Occamy's hardware cost (Table 1: ~1262 LUTs). This
+/// behavioral model is driven only by its unit tests and the
+/// `hw_circuits` bench. [`crate::TrafficManager`] picks victims with
+/// `occamy-core`'s `BufferManager::select_victim`, and `occamy-sim`,
+/// which does not depend on this crate, models expulsion as a token
+/// bucket in cells (`try_expel_in`).
 #[derive(Debug, Clone)]
 pub struct HeadDropSelector {
     bitmap: QueueBitmap,

@@ -41,7 +41,7 @@ use crate::error::{Result, SpecError};
 use crate::value::Value;
 use occamy_core::{BmKind, BmTuning};
 use occamy_sim::topology::FabricTopo;
-use occamy_sim::MS;
+use occamy_sim::{MS, US};
 use std::fmt::Display;
 
 /// The spec-only pseudo-scheme that runs every switch on the
@@ -969,6 +969,16 @@ fn within<T: PartialOrd + Display>(ctx: &str, key: &str, v: T, lo: T, hi: T) -> 
     rule(ctx, key, lo <= v && v <= hi, must)
 }
 
+/// `v · scale`, rounded as the fabric builder rounds it, must be a
+/// whole number of `unit` in `1..=max`: a value that rounds to zero or
+/// past `max` (NaN and infinities too) fails naming the key.
+fn converts(ctx: &str, key: &str, v: f64, scale: f64, max: u64, unit: &str) -> Result<()> {
+    let n = (v * scale).round();
+    let must = format!("convert to 1..={max} {unit} (got {v}, which rounds to {n} {unit})");
+    // `as u128` saturates, so a value past `max` cannot wrap back in.
+    rule(ctx, key, n >= 1.0 && n as u128 <= max as u128, must)
+}
+
 /// A fraction of the workload window: finite, in `0..=1`.
 fn fraction(ctx: &str, key: &str, v: f64) -> Result<()> {
     let must = format!("be a fraction of the workload window in 0..=1 (got {v})");
@@ -981,9 +991,19 @@ fn check_topology(t: &TopologySection) -> Result<()> {
     t.kind
         .check()
         .map_err(|e| SpecError::new(e).in_context(ctx))?;
-    positive(ctx, "host_rate_gbps", t.host_rate_gbps)?;
-    positive(ctx, "fabric_rate_gbps", t.fabric_rate_gbps)?;
-    positive(ctx, "link_prop_us", t.link_prop_us)?;
+    // The builder rounds rates to whole bps and the propagation to whole
+    // ps: a 0 bps link cannot transmit, and the ideal-FCT base RTT
+    // (2 × the longest path's links × the propagation) must stay on the
+    // u64 ps clock.
+    let rates = [
+        ("host_rate_gbps", t.host_rate_gbps),
+        ("fabric_rate_gbps", t.fabric_rate_gbps),
+    ];
+    for (key, gbps) in rates {
+        converts(ctx, key, gbps, 1e9, u64::MAX, "bps")?;
+    }
+    let (us, max_ps) = (US as f64, u64::MAX / (2 * t.kind.max_path_links()));
+    converts(ctx, "link_prop_us", t.link_prop_us, us, max_ps, "ps")?;
     // Upper bounds like this one keep a value's conversion to bytes or
     // picoseconds inside a u64.
     let kb = t.buffer_per_8ports_kb;

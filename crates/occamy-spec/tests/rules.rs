@@ -151,3 +151,43 @@ fn every_knob_is_accepted_by_set_knob() {
     let e = doc.set_knob("drain_ms", Num::Int(1), "Occamy").unwrap_err();
     assert!(e.message().contains("unknown grid knob 'drain_ms'"), "{e}");
 }
+
+#[test]
+fn link_rates_and_propagation_convert_to_whole_nonzero_units() {
+    for (extra, needle) in [
+        // 1e-12 Gbps is 0.001 bps, which rounds to a 0 bps link.
+        (
+            "host_rate_gbps = 1e-12\n",
+            "[topology]: 'host_rate_gbps' must convert to 1..=18446744073709551615 bps",
+        ),
+        (
+            "fabric_rate_gbps = 1e-12\n",
+            "[topology]: 'fabric_rate_gbps' must convert to 1..=",
+        ),
+        (
+            "host_rate_gbps = 1e300\n",
+            "'host_rate_gbps' must convert to",
+        ),
+        // 1e13 µs is 1e19 ps per link: the k=4 fat-tree's base RTT
+        // over 12 link hops leaves the u64 ps clock.
+        (
+            "link_prop_us = 1e13\n",
+            "[topology]: 'link_prop_us' must convert to 1..=1537228672809129301 ps",
+        ),
+        ("link_prop_us = 1e-7\n", "'link_prop_us' must convert to"),
+    ] {
+        let e = load_err(extra);
+        assert!(e.contains(needle), "{extra}: {e}");
+    }
+    // 1 bps, 1 ps and a propagation just under the ceiling load.
+    for extra in [
+        "host_rate_gbps = 1e-9\nfabric_rate_gbps = 1e-9\n",
+        "link_prop_us = 1e-6\n",
+        "link_prop_us = 1537228672809.0\n",
+    ] {
+        assert!(
+            spec_from_toml(&format!("{MINIMAL}{extra}")).is_ok(),
+            "{extra}"
+        );
+    }
+}
