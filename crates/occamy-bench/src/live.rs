@@ -365,7 +365,7 @@ impl Dashboard {
         for (name, v) in &self.scenarios {
             line(String::new());
             line(format!(
-                "  {name}  cells {}/{}  {}  losses {}  faults {}",
+                "  {name}  cells {} done, grid {}  {}  losses {}  faults {}",
                 v.cells_done,
                 v.cells_total.max(v.cells_done),
                 rate_str(v.events_per_sec),
@@ -545,7 +545,7 @@ mod tests {
         assert!((v.active[&0].progress - 0.5).abs() < 1e-9);
         assert_eq!(v.tier_hist[0], vec![0.1]);
         let frame = d.render();
-        assert!(frame.contains("cells 0/4"), "{frame}");
+        assert!(frame.contains("cells 0 done, grid 4"), "{frame}");
         d.feed(&Json::parse(r#"{"kind":"cell_end","scenario":"s","cell":0,"cells":4}"#).unwrap());
         assert_eq!(d.scenarios["s"].cells_done, 1);
         assert!(d.scenarios["s"].active.is_empty());

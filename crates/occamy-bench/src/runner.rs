@@ -46,7 +46,7 @@ pub fn peak_rss_bytes() -> u64 {
 /// Executes one cell with full instrumentation: the cell-start log line
 /// (grid label + seed, so long serial cells are attributable in the
 /// job log), telemetry cell context + boundary markers, wall clock and
-/// peak RSS. `total` is the number of cells in the batch being run.
+/// peak RSS. `total` is the number of cells in the scenario's grid.
 fn run_cell(scenario: &dyn Scenario, spec: &CellSpec, total: usize) -> CellOutcome {
     if !crate::live_mode() {
         eprintln!(
@@ -271,12 +271,12 @@ pub fn execute(
     (runs, stats)
 }
 
-/// Executes one scenario's `cells` (any subset of its grid, in any
-/// order), handing each finished cell's outcome to `on_cell_done` — the
-/// execution half shared by `run` (via [`execute`]'s job list) and
-/// `shard run`, which feeds a planned subset instead of the whole grid
-/// and journals each outcome, so a killed shard is resumable and its
-/// progress visible from the outside.
+/// Executes one scenario's `cells` (any subset of its grid of
+/// `grid_cells` cells, in any order), handing each finished cell's
+/// outcome to `on_cell_done` — the execution half shared by `run` (via
+/// [`execute`]'s job list) and `shard run`, which feeds a planned subset
+/// instead of the whole grid and journals each outcome, so a killed
+/// shard is resumable and its progress visible from the outside.
 ///
 /// `on_cell_done` may be invoked from worker threads, hence `Sync`. The
 /// first error it returns stops the run: no further cell starts, and
@@ -289,6 +289,7 @@ pub fn execute(
 pub fn run_cells(
     scenario: &'static dyn Scenario,
     cells: &[CellSpec],
+    grid_cells: usize,
     parallel: bool,
     on_cell_done: &(dyn Fn(&CellOutcome) -> Result<(), String> + Sync),
 ) -> Result<(), String> {
@@ -298,7 +299,7 @@ pub fn run_cells(
         if failure.lock().expect(POISONED).is_some() {
             return;
         }
-        let mut outcome = run_cell(scenario, spec, cells.len());
+        let mut outcome = run_cell(scenario, spec, grid_cells);
         freeze_walls(std::slice::from_mut(&mut outcome));
         if let Err(e) = on_cell_done(&outcome) {
             failure.lock().expect(POISONED).get_or_insert(e);

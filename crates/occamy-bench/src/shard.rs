@@ -906,7 +906,7 @@ pub fn run_shard(plan_path: &Path, parallel: bool, resume: bool) -> Result<PathB
     // Cells complete on rayon workers, so appends share a mutex.
     let kill = kill_after(file.shard, done_idx.len());
     let state = std::sync::Mutex::new((0usize, journal));
-    runner::run_cells(scenario, &remaining, parallel, &|o| {
+    runner::run_cells(scenario, &remaining, file.total_cells, parallel, &|o| {
         let mut guard = state
             .lock()
             .expect("a cell worker panicked while journaling");

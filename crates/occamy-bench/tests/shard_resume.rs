@@ -306,6 +306,19 @@ fn sigkilled_shard_run_resumes_and_merges_byte_identical() {
         stdout.contains("resuming shard 1 of 'fig12': 1 of 2 cells journaled, 1 to run"),
         "the resumed run must replay the journal:\n{stdout}"
     );
+    // The cell counter counts the grid (fig12 smoke: 4 cells), not the
+    // one cell left to run, just as a direct run's does.
+    let stderr = String::from_utf8_lossy(&resumed.stderr);
+    let starts: Vec<&str> = stderr
+        .lines()
+        .filter(|l| l.starts_with("cell start: "))
+        .collect();
+    assert_eq!(starts.len(), 1, "one cell left to run:\n{stderr}");
+    assert!(
+        starts[0].starts_with("cell start: fig12[4/4] "),
+        "the resumed cell must be numbered within the grid: {}",
+        starts[0]
+    );
     let resumed_text = std::fs::read_to_string(&journal).unwrap();
     assert!(
         resumed_text.starts_with(&text),

@@ -115,7 +115,7 @@ pub trait BufferManager {
     /// from these hooks instead of rescanning all queues per grant. A
     /// missed update is caught by a cheap consistency probe inside
     /// [`BufferManager::select_victim`] (and by debug assertions), at
-    /// the cost of a full rebuild.
+    /// the cost of a full rebuild that [`AnyBm::repairs`] counts.
     fn on_enqueue(&mut self, q: QueueId, len: u64, now_ns: u64, state: &BufferState) {
         let _ = (q, len, now_ns, state);
     }
@@ -294,6 +294,20 @@ macro_rules! dispatch {
             AnyBm::Damq($inner) => $body,
         }
     };
+}
+
+impl AnyBm {
+    /// Rebuilds that a preemptive scheme's consistency probe forced
+    /// because the substrate missed a bookkeeping hook; 0 for schemes
+    /// that keep no incremental victim state. See
+    /// [`OverAllocTracker::repairs`](crate::OverAllocTracker::repairs).
+    pub fn repairs(&self) -> u64 {
+        match self {
+            AnyBm::Occamy(bm) => bm.tracker().repairs(),
+            AnyBm::Pushout(bm) => bm.repairs(),
+            _ => 0,
+        }
+    }
 }
 
 impl BufferManager for AnyBm {

@@ -28,11 +28,17 @@ use crate::{
 /// # Hook contract
 ///
 /// The substrate must invoke `on_enqueue` / `on_dequeue` after every
-/// occupancy change, as `occamy-sim` and `occamy-hw` do. A substrate that
-/// mutated the [`BufferState`] behind the scheme's back can call
-/// [`Occamy::resync`]; `select_victim` also re-derives everything from
-/// scratch when its cheap consistency probe (capacity + total occupancy)
-/// detects a missed update.
+/// occupancy change, as `occamy-sim` and `occamy-hw` do. While the
+/// partition's total occupancy is at most `T(α_min, free)`, no queue can
+/// be over-allocated and the tracker sleeps: a hook only re-checks that
+/// guard. The first hook or `select_victim` that finds it false wakes
+/// the tracker with one rebuild; it sleeps again once
+/// `2 · total ≤ T(α_min, free)`. A substrate that mutated the
+/// [`BufferState`] behind the scheme's back can call [`Occamy::resync`];
+/// the awake tracker's hooks and `select_victim` also re-derive
+/// everything from scratch when its cheap consistency probe (capacity +
+/// total occupancy) detects a missed update, and count that
+/// [repair](OverAllocTracker::repairs).
 #[derive(Debug, Clone)]
 pub struct Occamy {
     dt: DynamicThreshold,
@@ -80,7 +86,14 @@ impl Occamy {
         self.tracker.bitmap()
     }
 
-    /// Rebuilds the incremental victim-selection state from `state`.
+    /// The over-allocation tracker, for its sleep, wake and repair
+    /// counts.
+    pub fn tracker(&self) -> &OverAllocTracker {
+        &self.tracker
+    }
+
+    /// Rebuilds the incremental victim-selection state from `state`,
+    /// waking the tracker if it slept.
     ///
     /// Only needed after mutating the buffer state *without* the
     /// [`BufferManager`] bookkeeping hooks (the equivalence property
@@ -119,10 +132,12 @@ impl BufferManager for Occamy {
         debug_assert!(
             self.tracker.is_consistent_with(state),
             "over-allocation tracker diverged from buffer state \
-             (bookkeeping hooks not invoked?)"
+             (asleep: {}; bookkeeping hooks not invoked?)",
+            self.tracker.is_asleep()
         );
         if self.tracker.over_count() == 0 {
-            // Common case on the per-packet path: nothing over-allocated.
+            // Common case on the per-packet path: nothing over-allocated
+            // (always so while the tracker sleeps).
             return None;
         }
         match self.policy {
@@ -234,8 +249,10 @@ mod tests {
         let (mut bm, mut state) = setup(1.0);
         state.enqueue(0, 3_000).unwrap();
         assert_eq!(bm.select_victim(&state), Some(0));
+        assert_eq!(bm.tracker().repairs(), 0, "waking is not a repair");
         state.dequeue(0, 2_500).unwrap();
         assert_eq!(bm.select_victim(&state), None);
+        assert_eq!(bm.tracker().repairs(), 1);
     }
 
     #[test]

@@ -15,6 +15,16 @@
 //! change of free space moves one split index and touches only the queues
 //! whose status actually flipped, and a length change repositions one
 //! queue. Victim selection then never recomputes a threshold at all.
+//!
+//! Most of the time even that work is wasted: no queue holds more than
+//! the partition's total occupancy, and the threshold expression is
+//! monotone in `α` too, so while `total ≤ T(α_min, free)` no queue can be
+//! over-allocated. The tracker then *sleeps*: a hook only re-checks that
+//! guard, and the bitmap stays empty. The first hook (or
+//! [`OverAllocTracker::sync`]) that finds the guard false wakes it with
+//! one from-scratch rebuild. It sleeps again only once
+//! `2 · total ≤ T(α_min, free)`, so a partition parked at DT's
+//! one-queue steady state (`total ≈ T`) does not rebuild per packet.
 
 use crate::dt::dt_threshold;
 use crate::maxtrack::MaxTracker;
@@ -29,10 +39,12 @@ type LongestKey = (u64, Reverse<u32>);
 /// queues (Occamy's reactive path).
 ///
 /// Driven by [`OverAllocTracker::on_len_change`] from the buffer-manager
-/// bookkeeping hooks; [`OverAllocTracker::sync`] lazily (re)builds from
-/// scratch when the tracker provably missed an update (capacity or total
-/// occupancy mismatch), so a freshly constructed tracker needs no
-/// explicit initialization.
+/// bookkeeping hooks. A new tracker starts asleep, which is exact for
+/// any state below the guard, so it needs no explicit initialization.
+/// While awake, a hook or [`OverAllocTracker::sync`] rebuilds from
+/// scratch when its cheap consistency probe (capacity + total occupancy)
+/// shows a missed update, and counts that rebuild as a
+/// [repair](Self::repairs).
 #[derive(Debug, Clone)]
 pub struct OverAllocTracker {
     alpha: Vec<f64>,
@@ -42,6 +54,8 @@ pub struct OverAllocTracker {
     /// `k` where `α = 2^k`, for the exact integer flip-bound fast path
     /// (every configuration in the paper uses power-of-two `α`).
     pow2: Vec<Option<i8>>,
+    /// The smallest `α`, whose threshold bounds every queue's from below.
+    alpha_min: f64,
     capacity: u64,
     total: u64,
     free: u64,
@@ -60,19 +74,27 @@ pub struct OverAllocTracker {
     /// Longest-over-allocated tournament, maintained only when a caller
     /// needs it (the `Occamy-Longest` ablation).
     longest: Option<MaxTracker<LongestKey>>,
-    synced: bool,
+    /// Asleep: `total ≤ T(α_min, free)` held at the last hook, the bitmap
+    /// and tournament are empty, and the per-queue fields above are stale
+    /// until the wake-up rebuild.
+    asleep: bool,
+    sleeps: u64,
+    wakes: u64,
+    repairs: u64,
 }
 
 impl OverAllocTracker {
-    /// Creates an unsynced tracker for queues with the given `α` values.
+    /// Creates a sleeping tracker for queues with the given `α` values.
     pub fn new(alpha: Vec<f64>) -> Self {
         let n = alpha.len();
         let inv_alpha = alpha.iter().map(|&a| 1.0 / a).collect();
         let pow2 = alpha.iter().map(|&a| pow2_exponent(a)).collect();
+        let alpha_min = alpha.iter().copied().fold(f64::INFINITY, f64::min);
         OverAllocTracker {
             alpha,
             inv_alpha,
             pow2,
+            alpha_min,
             capacity: 0,
             total: 0,
             free: 0,
@@ -83,7 +105,10 @@ impl OverAllocTracker {
             split: n,
             bitmap: QueueBitmap::new(n),
             longest: None,
-            synced: false,
+            asleep: true,
+            sleeps: 0,
+            wakes: 0,
+            repairs: 0,
         }
     }
 
@@ -102,13 +127,13 @@ impl OverAllocTracker {
     }
 
     /// The over-allocation bitmap (bit `q` set iff queue `q` exceeds its
-    /// DT threshold at the last synchronized state).
+    /// DT threshold at the last synchronized state; empty while asleep).
     #[inline]
     pub fn bitmap(&self) -> &QueueBitmap {
         &self.bitmap
     }
 
-    /// Number of over-allocated queues.
+    /// Number of over-allocated queues (0 while asleep).
     #[inline]
     pub fn over_count(&self) -> usize {
         self.order.len() - self.split
@@ -130,20 +155,59 @@ impl OverAllocTracker {
         t.max().map(|(_, Reverse(q))| q as QueueId)
     }
 
-    /// Ensures the tracker matches `state`, rebuilding from scratch when
+    /// Whether the tracker is asleep (no queue can be over-allocated).
+    pub fn is_asleep(&self) -> bool {
+        self.asleep
+    }
+
+    /// How many times the tracker fell asleep.
+    pub fn sleeps(&self) -> u64 {
+        self.sleeps
+    }
+
+    /// How many times a hook or [`OverAllocTracker::sync`] woke the
+    /// tracker, each with one rebuild.
+    pub fn wakes(&self) -> u64 {
+        self.wakes
+    }
+
+    /// How many rebuilds an awake tracker made because its consistency
+    /// probe, in a hook or in [`OverAllocTracker::sync`], failed: each is
+    /// a hook-contract violation of the substrate (an occupancy change it
+    /// did not report). A sleeping tracker keeps no per-queue state, so
+    /// a change it misses corrupts nothing and is not counted.
+    pub fn repairs(&self) -> u64 {
+        self.repairs
+    }
+
+    /// `T(α_min, free)`: every queue's threshold is at least this, since
+    /// the f64 expression admission evaluates is monotone in `α`.
+    #[inline]
+    fn floor_threshold(&self, state: &BufferState) -> u64 {
+        dt_threshold(self.alpha_min, state.free(), state.capacity())
+    }
+
+    /// Ensures the tracker matches `state`: a sleeping tracker wakes if
+    /// the guard no longer holds; an awake one rebuilds from scratch when
     /// the cheap consistency probe (capacity + total occupancy) fails.
     ///
     /// Substrates that invoke the [`crate::BufferManager`] bookkeeping
-    /// hooks on every enqueue/dequeue never trigger the rebuild.
+    /// hooks on every enqueue/dequeue never trigger a repair.
     #[inline]
     pub fn sync(&mut self, state: &BufferState) {
-        if !self.synced || self.capacity != state.capacity() || self.total != state.total() {
-            self.rebuild(state);
+        if self.asleep {
+            if state.total() > self.floor_threshold(state) {
+                self.wake(state);
+            }
+        } else if self.capacity != state.capacity() || self.total != state.total() {
+            self.repair(state);
         }
     }
 
-    /// Recomputes everything from `state` in O(N log N).
+    /// Recomputes everything from `state` in O(N log N), leaving the
+    /// tracker awake. Counts as neither a wake nor a repair.
     pub fn rebuild(&mut self, state: &BufferState) {
+        self.asleep = false;
         self.capacity = state.capacity();
         self.total = state.total();
         self.free = state.free();
@@ -170,21 +234,59 @@ impl OverAllocTracker {
                 longest.set(q, Some((self.lens[q], Reverse(q as u32))));
             }
         }
-        self.synced = true;
+    }
+
+    #[cold]
+    fn wake(&mut self, state: &BufferState) {
+        self.wakes += 1;
+        self.rebuild(state);
+    }
+
+    #[cold]
+    fn repair(&mut self, state: &BufferState) {
+        self.repairs += 1;
+        self.rebuild(state);
+    }
+
+    /// Empties the over-allocated set; the per-queue state goes stale
+    /// until the next wake-up rebuilds it.
+    fn sleep(&mut self) {
+        self.asleep = true;
+        self.sleeps += 1;
+        self.split = self.order.len();
+        self.bitmap.clear();
+        if let Some(longest) = &mut self.longest {
+            longest.clear();
+        }
     }
 
     /// Bookkeeping after queue `q`'s length changed (the hook path).
     ///
-    /// Repositions `q` by its new flip bound, then sweeps the split index
-    /// across the free-space change, touching only the queues whose
-    /// over/under status flipped.
+    /// Asleep, this only re-checks the guard. Awake, it first probes that
+    /// every other queue still holds what the tracker last saw (capacity
+    /// and the total less `q`), repairing on a mismatch, then repositions
+    /// `q` by its new flip bound and sweeps the split index across the
+    /// free-space change, touching only the queues whose over/under
+    /// status flipped.
     #[inline]
     pub fn on_len_change(&mut self, q: QueueId, state: &BufferState) {
-        if !self.synced || self.capacity != state.capacity() {
-            self.rebuild(state);
+        let floor = self.floor_threshold(state);
+        if self.asleep {
+            if state.total() > floor {
+                self.wake(state);
+            }
             return;
         }
         let len = state.queue_len(q);
+        // Awake, `lens` sums to `total`, so `lens[q] ≤ total`.
+        if self.capacity != state.capacity() || state.total() - len != self.total - self.lens[q] {
+            self.repair(state);
+            return;
+        }
+        if state.total() <= floor / 2 {
+            self.sleep();
+            return;
+        }
         self.total = state.total();
         self.lens[q] = len;
         let bound = self.bound_of(q, len);
@@ -300,14 +402,17 @@ impl OverAllocTracker {
         }
     }
 
-    /// Verifies the incremental state against a from-scratch derivation;
-    /// used by debug assertions and the equivalence property tests.
+    /// Verifies the tracker against a from-scratch derivation; used by
+    /// debug assertions and the equivalence property tests. A sleeping
+    /// tracker is consistent only while its guard holds.
     pub fn is_consistent_with(&self, state: &BufferState) -> bool {
-        if !self.synced {
+        if self.asleep && state.total() > self.floor_threshold(state) {
             return false;
         }
+        let mut over_count = 0;
         for (q, len) in state.iter() {
             let over = len > dt_threshold(self.alpha[q], state.free(), state.capacity());
+            over_count += over as usize;
             if self.bitmap.get(q) != over {
                 return false;
             }
@@ -317,7 +422,7 @@ impl OverAllocTracker {
                 }
             }
         }
-        true
+        over_count == self.over_count()
     }
 }
 
@@ -451,9 +556,96 @@ mod tests {
         t.sync(&state);
         assert!(t.bitmap().get(0));
         assert!(!t.bitmap().get(1));
+        assert_eq!((t.wakes(), t.repairs()), (1, 0), "the first sync wakes");
         state.dequeue(0, 2_400).unwrap(); // no hook: total changed
         t.sync(&state);
         assert!(!t.bitmap().get(0), "sync must notice the stale total");
+        assert_eq!(t.repairs(), 1, "a missed hook is counted");
+        // A hook on another queue notices a missed one too.
+        state.enqueue(0, 2_600).unwrap(); // no hook
+        state.enqueue(1, 100).unwrap();
+        t.on_len_change(1, &state);
+        assert_eq!(t.repairs(), 2, "the next hook counts the missed one");
+        assert!(t.bitmap().get(0) && t.is_consistent_with(&state));
+    }
+
+    #[test]
+    fn sleeps_below_the_guard_and_wakes_above_it() {
+        // α_min = 1 and B = 10_000: awake above total 5_000 (T = free),
+        // asleep again at or below total 3_333 (2·total ≤ free).
+        let mut t = OverAllocTracker::with_longest(vec![1.0, 4.0]);
+        let mut state = BufferState::new(10_000, 2);
+        for _ in 0..50 {
+            state.enqueue(0, 100).unwrap();
+            t.on_len_change(0, &state);
+        }
+        assert!(t.is_asleep(), "total 5_000 = T(α_min, free): still asleep");
+        assert_eq!(t.wakes(), 0);
+        state.enqueue(1, 100).unwrap();
+        t.on_len_change(1, &state);
+        assert!(!t.is_asleep());
+        assert_eq!(t.wakes(), 1);
+        // Queue 0 holds 5_000 > T_0 = 4_900: over-allocated; queue 1
+        // (α = 4) is not.
+        assert_eq!(t.over_count(), 1);
+        assert_eq!(t.longest_over(), Some(0));
+        while state.total() > 3_400 {
+            state.dequeue(0, 100).unwrap();
+            t.on_len_change(0, &state);
+            assert!(!t.is_asleep(), "above the sleep guard at {}", state.total());
+            assert!(t.is_consistent_with(&state));
+        }
+        state.dequeue(0, 100).unwrap();
+        t.on_len_change(0, &state);
+        assert!(t.is_asleep(), "total 3_300 ≤ free / 2");
+        assert_eq!((t.sleeps(), t.over_count(), t.longest_over()), (1, 0, None));
+        assert!(!t.bitmap().any());
+        assert!(t.is_consistent_with(&state));
+        // Wake with queue 0 over-allocated (5_000 > T_0 = 4_900), then
+        // empty it in one hook: the tracker falls asleep straight from
+        // the over-allocated state and must drop queue 0's bit with it.
+        state.enqueue(0, 1_800).unwrap();
+        t.on_len_change(0, &state);
+        assert_eq!(
+            (t.wakes(), t.over_count(), t.longest_over()),
+            (2, 1, Some(0))
+        );
+        state.dequeue(0, 5_000).unwrap();
+        t.on_len_change(0, &state);
+        assert!(t.is_asleep(), "total 100 ≤ free / 2");
+        assert_eq!((t.sleeps(), t.over_count(), t.longest_over()), (2, 0, None));
+        assert!(!t.bitmap().any(), "queue 0's bit outlived the sleep");
+        assert!(t.is_consistent_with(&state));
+        assert_eq!(t.repairs(), 0);
+    }
+
+    #[test]
+    fn one_packet_oscillation_at_the_guard_wakes_once() {
+        // A queue parked at the guard's last total crosses it with every
+        // packet, as DT's one-queue steady state does (for α = 8 and
+        // B = 9_000: `total ≤ 8 · free` holds up to 8_000).
+        for alpha in [8.0, 7.77] {
+            let cap = 9_000;
+            let park = (0..=cap)
+                .rev()
+                .find(|&total| total <= dt_threshold(alpha, cap - total, cap))
+                .unwrap();
+            let mut t = OverAllocTracker::new(vec![alpha; 4]);
+            let mut state = BufferState::new(cap, 4);
+            state.enqueue(0, park - 1).unwrap();
+            t.on_len_change(0, &state);
+            assert!(t.is_asleep(), "α={alpha}: asleep below the guard");
+            for _ in 0..1_000 {
+                state.enqueue(0, 2).unwrap();
+                t.on_len_change(0, &state);
+                assert!(t.is_consistent_with(&state));
+                state.dequeue(0, 2).unwrap();
+                t.on_len_change(0, &state);
+                assert!(t.is_consistent_with(&state));
+            }
+            assert_eq!(t.wakes(), 1, "α={alpha}: woke {} times", t.wakes());
+            assert_eq!(t.sleeps(), 0, "α={alpha}: slept inside the hysteresis band");
+        }
     }
 
     #[test]

@@ -39,6 +39,7 @@ pub struct Pushout {
     longest: MaxTracker<VictimKey>,
     total: u64,
     synced: bool,
+    repairs: u64,
 }
 
 impl Pushout {
@@ -51,6 +52,7 @@ impl Pushout {
             longest: MaxTracker::new(n),
             total: 0,
             synced: false,
+            repairs: 0,
         }
     }
 
@@ -73,8 +75,18 @@ impl Pushout {
         self.synced = true;
     }
 
+    /// How many rebuilds the consistency probe forced after the first
+    /// sync: each is a hook-contract violation of the substrate (an
+    /// occupancy change it did not report).
+    pub fn repairs(&self) -> u64 {
+        self.repairs
+    }
+
     fn sync(&mut self, state: &BufferState) {
-        if !self.synced || self.total != state.total() {
+        if !self.synced {
+            self.resync(state);
+        } else if self.total != state.total() {
+            self.repairs += 1;
             self.resync(state);
         }
     }
@@ -218,8 +230,10 @@ mod tests {
         state.enqueue(0, 1_000).unwrap();
         state.enqueue(1, 1_500).unwrap();
         assert_eq!(bm.select_victim(&state), Some(1));
+        assert_eq!(bm.repairs(), 0, "the first sync is not a repair");
         state.dequeue(1, 1_200).unwrap();
         assert_eq!(bm.select_victim(&state), Some(0));
+        assert_eq!(bm.repairs(), 1);
     }
 
     #[test]

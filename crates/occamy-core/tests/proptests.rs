@@ -2,7 +2,7 @@
 
 use occamy_core::{
     AnyBm, BmKind, BufferManager, BufferState, DynamicThreshold, Occamy, QueueBitmap, QueueConfig,
-    RoundRobinCursor, TokenBucket, Verdict,
+    QueueId, RoundRobinCursor, TokenBucket, Verdict, VictimPolicy,
 };
 use proptest::prelude::*;
 
@@ -24,7 +24,133 @@ fn bitmap_bits(bm: &AnyBm, n: usize) -> Option<Vec<bool>> {
     }
 }
 
+/// Per-queue `α` for the sleeping-tracker property: the powers of two
+/// take the tracker's integer flip-bound path, 7.77 its f64 probe.
+const SLEEP_ALPHAS: [f64; 7] = [0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 7.77];
+
+/// Checks Occamy's tracker, then its next victim, against a from-scratch
+/// scan of DT thresholds. `floor` is the scan's `T(α_min, free)`: after
+/// any hook the tracker is awake past the wake guard (`total > floor`)
+/// and asleep at the sleep guard (`2 · total ≤ floor`). `rr` mirrors the
+/// round-robin cursor.
+fn check_against_scan(
+    bm: &mut Occamy,
+    state: &BufferState,
+    floor: u64,
+    rr: &mut RoundRobinCursor,
+) -> TestCaseResult {
+    let n = state.num_queues();
+    let mut scratch = QueueBitmap::new(n);
+    for q in 0..n {
+        scratch.set(q, state.queue_len(q) > bm.threshold(q, state));
+    }
+    // Longest over-allocated queue, ties to the lowest index.
+    let longest = scratch
+        .iter_ones()
+        .max_by_key(|&q| (state.queue_len(q), std::cmp::Reverse(q)));
+    let t = bm.tracker();
+    let total = state.total();
+    prop_assert!(
+        !t.is_asleep() || total <= floor,
+        "asleep past the wake guard"
+    );
+    prop_assert!(
+        t.is_asleep() || 2 * total > floor,
+        "awake at the sleep guard"
+    );
+    prop_assert_eq!(t.over_count(), scratch.count_ones(), "over_count");
+    for q in 0..n {
+        prop_assert_eq!(t.bitmap().get(q), scratch.get(q), "bit {}", q);
+    }
+    let expect: Option<QueueId> = match bm.policy() {
+        VictimPolicy::Longest => {
+            prop_assert_eq!(t.longest_over(), longest, "longest_over");
+            longest
+        }
+        VictimPolicy::RoundRobin if scratch.any() => rr.grant(&scratch),
+        VictimPolicy::RoundRobin => None,
+    };
+    prop_assert_eq!(bm.select_victim(state), expect, "select_victim");
+    prop_assert_eq!(bm.tracker().repairs(), 0, "a hooked walk needs no repair");
+    Ok(())
+}
+
 proptest! {
+    /// Occamy's tracker sleeps while no queue can be over-allocated and
+    /// answers exactly like a from-scratch scan throughout. Each cycle
+    /// fills the buffer past the wake guard (`total > T(α_min, free)`)
+    /// until some queue is over-allocated, makes a few random moves, then
+    /// drains it to the sleep guard (`2 · total ≤ T(α_min, free)`),
+    /// sometimes a whole queue in one hook, checking after every op.
+    #[test]
+    fn sleeping_tracker_matches_scratch_scan(
+        alpha_idx in prop::collection::vec(0usize..7, 6),
+        longest in prop::bool::ANY,
+        cycles in 2usize..5,
+        pkts in prop::collection::vec(
+            (0usize..6, 64u64..1_600, prop::bool::ANY, 0u8..8), 8..64),
+    ) {
+        let n = alpha_idx.len();
+        let mut cfg = QueueConfig::uniform(n, 10_000_000_000, 1.0);
+        for (q, &i) in alpha_idx.iter().enumerate() {
+            cfg = cfg.with_alpha(q, SLEEP_ALPHAS[i]);
+        }
+        let q_min = (0..n)
+            .min_by(|&a, &b| cfg.alpha[a].total_cmp(&cfg.alpha[b]))
+            .unwrap();
+        let policy = if longest { VictimPolicy::Longest } else { VictimPolicy::RoundRobin };
+        let mut bm = Occamy::with_policy(cfg, policy);
+        let mut state = BufferState::new(60_000, n);
+        let mut rr = RoundRobinCursor::new();
+        let mut next = pkts.iter().copied().cycle();
+        // One op: enqueue up to `len` bytes into `q` (as much as fits),
+        // or dequeue up to `len` bytes from it; then the hook and checks.
+        let mut op = |bm: &mut Occamy, state: &mut BufferState, q: QueueId, len: u64, enq: bool| {
+            if enq {
+                let len = len.min(state.free());
+                if len > 0 {
+                    state.enqueue(q, len).unwrap();
+                    bm.on_enqueue(q, len, 0, state);
+                }
+            } else {
+                let len = len.min(state.queue_len(q));
+                if len > 0 {
+                    state.dequeue(q, len).unwrap();
+                    bm.on_dequeue(q, len, 0, state);
+                }
+            }
+            let floor = bm.threshold(q_min, state);
+            check_against_scan(bm, state, floor, &mut rr)
+        };
+        let any_over = |bm: &Occamy, state: &BufferState| {
+            (0..n).any(|q| state.queue_len(q) > bm.threshold(q, state))
+        };
+        for _ in 0..cycles {
+            // Past the wake guard, and on until some queue is
+            // over-allocated (at the latest when the buffer is full).
+            while state.total() <= bm.threshold(q_min, &state) || !any_over(&bm, &state) {
+                let (q, len, _, _) = next.next().unwrap();
+                op(&mut bm, &mut state, q, len, true)?;
+            }
+            for _ in 0..8 {
+                let (q, len, enq, _) = next.next().unwrap();
+                op(&mut bm, &mut state, q, len, enq)?;
+            }
+            while 2 * state.total() > bm.threshold(q_min, &state) {
+                let (q, len, _, flush) = next.next().unwrap();
+                // Drain the named queue, or the longest if it is empty.
+                let q = if state.queue_len(q) > 0 { q } else { state.longest_queue().unwrap() };
+                let len = if flush == 0 { state.queue_len(q) } else { len };
+                op(&mut bm, &mut state, q, len, false)?;
+            }
+        }
+        let t = bm.tracker();
+        prop_assert!(
+            t.wakes() >= cycles as u64 && t.sleeps() >= cycles as u64,
+            "{} cycles, {} wakes, {} sleeps", cycles, t.wakes(), t.sleeps()
+        );
+    }
+
     /// Buffer accounting never loses or invents bytes under arbitrary
     /// interleavings of enqueues and dequeues.
     #[test]

@@ -3,7 +3,7 @@
 //! and across thread counts) and recoverable (every flow the faults
 //! interrupt still delivers exactly its bytes once the fabric heals).
 
-use occamy_core::BmKind;
+use occamy_core::{AnyBm, BmKind};
 use occamy_sim::topology::{fabric, BmSpec, FabricCfg, FabricTopo, SchedKind};
 use occamy_sim::{
     CbrDesc, CcAlgo, Drain, FaultSchedule, FlowDesc, HostChurn, LinkFlap, SimConfig, World, MS, US,
@@ -188,6 +188,107 @@ fn interrupted_flows_recover_with_exact_bytes() {
             rx.rcv_next, w.flows.hot[i].bytes,
             "flow {i} did not deliver exactly its bytes"
         );
+    }
+}
+
+/// Every scheme keeps the hook contract through faults. An incast into
+/// host 0 is queued on edge 0's host port when that link goes down
+/// (`flush_port` drops the queue), edge 0 drains later, and the
+/// preemptive schemes head-drop (`head_drop_in`) on the way. No
+/// partition's consistency probe may ever have to repair its victim
+/// state: every occupancy change reached the scheme through a hook. The
+/// link goes down 100 µs in, while the incast keeps edge 0's Occamy
+/// tracker awake (from about 44 µs to 210 µs), so a flush that skipped
+/// its hooks would be counted.
+#[test]
+fn every_scheme_keeps_the_hook_contract_under_faults() {
+    let horizon = 2 * MS;
+    let down = 0.05;
+    for kind in BmKind::ALL {
+        let mut w = fabric(FabricCfg {
+            topo: FabricTopo::FatTree { k: 4 },
+            host_rate_bps: 10_000_000_000,
+            fabric_rate_bps: 10_000_000_000,
+            oversubscription: 1.0,
+            link_prop_ps: 1_000_000,
+            buffer_per_8ports_bytes: 150_000,
+            classes: 2,
+            bm: BmSpec::per_class(kind, vec![kind.paper_alpha(); 2]),
+            sched: SchedKind::Fifo,
+            sim: SimConfig::default(),
+        });
+        for src in 1..16 {
+            w.add_flow(FlowDesc {
+                src,
+                dst: 0,
+                bytes: 100_000,
+                start_ps: (src as u64) * US,
+                prio: (src % 2) as u8,
+                cc: CcAlgo::Dctcp,
+                query: None,
+                is_query: false,
+            });
+        }
+        FaultSchedule {
+            link_flaps: vec![LinkFlap {
+                switch: 0,
+                port: 0, // edge 0's link to host 0
+                down,
+                up: 0.1,
+            }],
+            drains: vec![Drain {
+                switch: 0,
+                start: 0.15,
+                end: 0.25,
+            }],
+            ..FaultSchedule::default()
+        }
+        .apply(&mut w, horizon);
+        w.run_until((down * horizon as f64) as u64 - 1);
+        let edge = &w.switches[0];
+        assert!(
+            edge.ports[0].queues.iter().any(|q| !q.is_empty()),
+            "{kind:?}: nothing queued on the link that goes down"
+        );
+        // A sleeping tracker keeps no per-queue state, so only an awake
+        // one could notice a flush that skipped its hooks.
+        if let AnyBm::Occamy(o) = &edge.partitions[edge.port_partition[0]].bm {
+            assert!(
+                !o.tracker().is_asleep(),
+                "{kind:?}: the flushed port's tracker sleeps through the flap"
+            );
+        }
+        w.run_to_completion(2_000 * MS);
+        assert_eq!(w.metrics.faults_fired, 4, "{kind:?}: every fault fires");
+        assert!(w.all_flows_done(), "{kind:?}: a fault stranded a flow");
+        let d = &w.metrics.drops;
+        match kind {
+            BmKind::Occamy | BmKind::OccamyLongest => {
+                assert!(d.head_drops > 0, "{kind:?}: no head drop")
+            }
+            BmKind::Pushout => assert!(d.pushout_evictions > 0, "{kind:?}: no eviction"),
+            _ => {}
+        }
+        let mut wakes = 0;
+        for sw in &w.switches {
+            for (pa, part) in sw.partitions.iter().enumerate() {
+                assert_eq!(
+                    part.bm.repairs(),
+                    0,
+                    "{kind:?}: switch {} partition {pa} repaired its victim state",
+                    sw.id
+                );
+                if let AnyBm::Occamy(o) = &part.bm {
+                    wakes += o.tracker().wakes();
+                }
+            }
+        }
+        if d.head_drops > 0 {
+            assert!(
+                wakes > 0,
+                "{kind:?}: head drops from a tracker that never woke"
+            );
+        }
     }
 }
 
