@@ -8,7 +8,7 @@ use crate::scenarios::TestbedScenario;
 use occamy_sim::MS;
 
 /// Applies the shared duration/rate reductions for the DPDK testbed
-/// scenarios: `Quick` mirrors the old binaries' `OCCAMY_QUICK` settings;
+/// scenarios: `Quick` cuts the window to 100 ms and the drain to 300 ms;
 /// `Smoke` shortens further and raises the query rate so a near-trivial
 /// run still completes queries (the same recipe as the crate's
 /// `tiny_testbed_run_is_sane` test).

@@ -1,10 +1,8 @@
-//! **perf_transport** — the tracked transport hot-path baseline.
+//! **perf_transport** — the transport-bound registry scenario.
 //!
-//! Not a paper figure: this scenario exists so the simulator's
-//! transport-layer throughput has a canonical, regression-tracked
-//! number. Two cells on the paper-faithful k=8 fat-tree at 100 G
-//! (`specs/paper_fabric_128h.toml` scale) exercise the two workload
-//! shapes that bound the transport hot path:
+//! Not a paper figure: two cells on the paper-faithful k=8 fat-tree at
+//! 100 G (`specs/paper_fabric_128h.toml` scale) exercise the two
+//! workload shapes that bound the transport hot path:
 //!
 //! - **incast**: 32-way query responses only — synchronized window
 //!   bursts, ECN-driven cwnd cuts, dup-ACK recoveries and a retransmission
@@ -14,11 +12,14 @@
 //!   where `on_ack`/`next_segment` dominate.
 //!
 //! The runner records `events` per cell and events/sec in
-//! `BENCH_perf_transport.json` / `results/perf_transport_perf.csv`; CI
-//! runs the quick scale serially on every push so the trajectory is
-//! visible per commit. Headline (non-perf) metrics are pinned by the
-//! golden snapshot like any other scenario — a transport refactor must
-//! move events/sec, not results.
+//! `BENCH_perf_transport.json` / `results/perf_transport_perf.csv`, as
+//! for every scenario. One run's events/sec is a log line: it moves by
+//! tens of percent between identical runs on a shared host, so measured
+//! speed figures come from perfbench, whose `ft128_permutation` workload
+//! runs the permutation cell's fabric and traffic. CI runs the quick
+//! scale serially on every push, and the golden snapshot pins the
+//! headline (non-perf) metrics and event counts like any other
+//! scenario's — a transport refactor must not move results.
 
 use crate::fabric::{FabricScenario, FabricTopo};
 use crate::scenario::{CellOutcome, CellResult, CellSpec, Grid, Report, Scale, Scenario};
@@ -113,9 +114,10 @@ impl Scenario for PerfTransport {
             ]);
         }
         Report::new().table_csv(t, "perf_transport.csv").note(
-            "Perf baseline, not a paper figure: events/sec for these cells is the \
-             tracked transport hot-path number (see BENCH_perf_transport.json and \
-             results/perf_transport_perf.csv; README §Performance has the trajectory).",
+            "Not a paper figure: the transport-bound workloads, run end to end. \
+             Their events/sec (BENCH_perf_transport.json, results/perf_transport_perf.csv) \
+             is a log line, not a measurement; measured speed figures come from \
+             perfbench (README §Performance).",
         )
     }
 }

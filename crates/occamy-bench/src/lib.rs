@@ -64,12 +64,6 @@ pub mod scenarios;
 pub mod shard;
 pub mod spec_scenario;
 
-/// Returns `true` when quick mode is requested via `OCCAMY_QUICK=1`
-/// (shorter runs for CI / smoke testing).
-pub fn quick_mode() -> bool {
-    std::env::var("OCCAMY_QUICK").is_ok_and(|v| v == "1")
-}
-
 /// Returns `true` when `OCCAMY_FREEZE_PERF=1` (or `--freeze-perf`):
 /// wall-clock perf measurements are forced to zero so every report
 /// artifact is byte-reproducible. Simulation results are unaffected —

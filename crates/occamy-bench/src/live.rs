@@ -401,8 +401,16 @@ impl Dashboard {
 /// following the streams as a concurrently-running `--telemetry` run
 /// appends to them. Exits on its own once the streams go quiet for
 /// `OCCAMY_WATCH_QUIET_MS` (default 8000) — CI can point it at a live
-/// run without needing to kill it.
+/// run without needing to kill it. A run writes its streams under its
+/// working directory, which exists before the run starts, so a missing
+/// `dir` is an error rather than a wait.
 pub fn watch(dir: &Path) -> std::io::Result<()> {
+    if !dir.is_dir() {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::NotFound,
+            format!("no such directory: {}", dir.display()),
+        ));
+    }
     let results = dir.join("results");
     let root = if results.is_dir() {
         results
@@ -589,6 +597,18 @@ mod tests {
         assert_eq!(back.get("events").and_then(Json::as_u64), Some(1234));
         let sw = &back.get("switches").and_then(Json::as_arr).unwrap()[0];
         assert_eq!(sw.get("cap_bytes").and_then(Json::as_u64), Some(70));
+    }
+
+    #[test]
+    fn watch_fails_at_once_on_a_missing_directory() {
+        let dir = std::env::temp_dir().join(format!("occamy-live-missing-{}", std::process::id()));
+        let started = Instant::now();
+        let err = watch(&dir).unwrap_err();
+        assert!(started.elapsed() < Duration::from_secs(1));
+        assert!(
+            err.to_string().contains(&dir.display().to_string()),
+            "{err}"
+        );
     }
 
     #[test]

@@ -30,6 +30,7 @@ use occamy_bench::runner;
 use occamy_bench::scenario::{Scale, Scenario};
 use occamy_bench::shard::{self, ShardSource};
 use occamy_bench::spec_scenario::SpecScenario;
+use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -59,7 +60,7 @@ commands:
 options:
   --spec FILE          load a declarative scenario spec (.toml/.json);
                        repeatable; runs alongside any named scenarios
-  --quick              reduced sweeps and durations (also: OCCAMY_QUICK=1)
+  --quick              reduced sweeps and durations
   --smoke              near-trivial grids (seconds; used by the smoke test)
   --serial             execute cells on one thread (baseline / profiling)
   --threads N          cell worker pool size (default: all cores;
@@ -96,7 +97,7 @@ fn parse_args() -> Result<Args, String> {
     let mut command = None;
     let mut names = Vec::new();
     let mut specs = Vec::new();
-    let mut scale = Scale::from_env();
+    let mut scale = Scale::Full;
     let mut parallel = true;
     let mut shards = None;
     let mut out_dir = None;
@@ -203,6 +204,20 @@ fn list(specs: &[&'static SpecScenario]) {
 }
 
 fn run(scenarios: Vec<&'static dyn Scenario>, scale: Scale, parallel: bool) -> ExitCode {
+    // Outputs are named by scenario, so a second scenario of one name
+    // would overwrite the first's report and share its telemetry stream.
+    let mut names = HashSet::new();
+    if let Some(name) = scenarios
+        .iter()
+        .map(|s| s.name())
+        .find(|n| !names.insert(*n))
+    {
+        eprintln!(
+            "error: two selected scenarios are named '{name}'; both would write \
+             BENCH_{name}.json and the same results/ files"
+        );
+        return ExitCode::from(2);
+    }
     let sink = occamy_bench::telemetry_enabled().then(|| {
         occamy_bench::live::TelemetrySink::start(Path::new("."), occamy_bench::live_mode())
     });

@@ -31,8 +31,7 @@ use std::time::Duration;
 pub enum Scale {
     /// The paper-faithful sweep (minutes of wall clock per scenario).
     Full,
-    /// Reduced sweeps and durations for CI (`OCCAMY_QUICK=1` or
-    /// `--quick`).
+    /// Reduced sweeps and durations for CI (`--quick`).
     Quick,
     /// A near-trivial grid that must finish in seconds — used by the
     /// registry smoke test to prove every scenario runs end to end.
@@ -40,16 +39,6 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Resolves the scale from the environment: [`Scale::Quick`] when
-    /// `OCCAMY_QUICK=1`, else [`Scale::Full`].
-    pub fn from_env() -> Scale {
-        if crate::quick_mode() {
-            Scale::Quick
-        } else {
-            Scale::Full
-        }
-    }
-
     /// Parses the `Display` spelling back (shard files record the scale
     /// a plan was generated at).
     pub fn parse(s: &str) -> Option<Scale> {

@@ -136,7 +136,7 @@ fn spec_runs_are_deterministic() {
     );
 }
 
-/// The acceptance criterion: a spec recreating a registry scenario's
+/// The acceptance bar: a spec recreating a registry scenario's
 /// grid reproduces its tables bit for bit.
 #[test]
 fn fig17_repro_spec_matches_registry_tables_bit_for_bit() {

@@ -1,16 +1,20 @@
-//! Property tests of the TOML spec reader: damaged copies of the shipped
-//! specs never panic it, whatever parses re-emits as a fixed point, and
-//! a `[topology]` section parses exactly when the fabric builder's own
-//! check accepts its shape.
+//! Property tests of the spec readers: damaged copies of the shipped
+//! TOML and JSON specs never panic them, whatever parses re-emits as a
+//! fixed point, and a `[topology]` section parses exactly when the
+//! fabric builder's own check accepts its shape.
 
 use occamy_sim::topology::FabricTopo;
-use occamy_spec::spec_from_toml;
+use occamy_spec::{spec_from_json, spec_from_toml, Result, SpecDoc};
 use proptest::prelude::*;
 use std::path::PathBuf;
 
+fn spec_dir() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../specs")
+}
+
 /// The shipped `.toml` specs: `(file name, bytes)`.
 fn shipped() -> Vec<(String, Vec<u8>)> {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../specs");
+    let dir = spec_dir();
     let mut specs: Vec<_> = std::fs::read_dir(&dir)
         .unwrap_or_else(|e| panic!("{}: {e}", dir.display()))
         .map(|e| e.unwrap().path())
@@ -31,13 +35,13 @@ fn shipped() -> Vec<(String, Vec<u8>)> {
     specs
 }
 
-/// Parses `bytes` (lossily decoded, as a damaged file might be) and, if
-/// it is a valid spec, checks that `parse → to_toml → parse` is a fixed
-/// point: an equal document and identical canonical text. Returns
-/// whether the input parsed.
-fn parse_is_fixed_point(what: &str, bytes: &[u8]) -> bool {
+/// Parses `bytes` (lossily decoded, as a damaged file might be) with
+/// `read` and, if it is a valid spec, checks that `parse → to_toml →
+/// parse` is a fixed point: an equal document and identical canonical
+/// text. Returns whether the input parsed.
+fn parse_is_fixed_point(read: fn(&str) -> Result<SpecDoc>, what: &str, bytes: &[u8]) -> bool {
     let text = String::from_utf8_lossy(bytes);
-    let Ok(doc) = spec_from_toml(&text) else {
+    let Ok(doc) = read(&text) else {
         return false;
     };
     let canonical = doc.to_toml();
@@ -56,9 +60,12 @@ fn parse_is_fixed_point(what: &str, bytes: &[u8]) -> bool {
 fn every_byte_prefix_of_a_shipped_spec_parses_or_fails_cleanly() {
     for (name, bytes) in shipped() {
         for n in 0..bytes.len() {
-            parse_is_fixed_point(&format!("{name}[..{n}]"), &bytes[..n]);
+            parse_is_fixed_point(spec_from_toml, &format!("{name}[..{n}]"), &bytes[..n]);
         }
-        assert!(parse_is_fixed_point(&name, &bytes), "{name} must parse");
+        assert!(
+            parse_is_fixed_point(spec_from_toml, &name, &bytes),
+            "{name} must parse"
+        );
     }
 }
 
@@ -74,7 +81,22 @@ proptest! {
             let mut damaged = bytes.clone();
             let at = pos % damaged.len();
             damaged[at] = byte as u8;
-            parse_is_fixed_point(&format!("{name} with byte {at} = {byte:#04x}"), &damaged);
+            parse_is_fixed_point(spec_from_toml, &format!("{name} with byte {at} = {byte:#04x}"), &damaged);
+        }
+    }
+
+    #[test]
+    fn single_byte_substitutions_of_the_json_spec_parse_or_fail_cleanly(
+        edits in prop::collection::vec((0usize..1 << 20, 0u16..256), 256),
+    ) {
+        let name = "leaf_spine_allreduce.json";
+        let bytes = std::fs::read(spec_dir().join(name)).unwrap();
+        prop_assert!(parse_is_fixed_point(spec_from_json, name, &bytes), "{} must parse", name);
+        for (pos, byte) in edits {
+            let mut damaged = bytes.clone();
+            let at = pos % damaged.len();
+            damaged[at] = byte as u8;
+            parse_is_fixed_point(spec_from_json, &format!("{name} with byte {at} = {byte:#04x}"), &damaged);
         }
     }
 

@@ -3,10 +3,12 @@
 //! The paper evaluates buffer management through flow-level metrics:
 //! Flow Completion Time (FCT), Query Completion Time (QCT — the completion
 //! of *all* flows belonging to one incast query), their slowdowns versus
-//! an idealized no-contention baseline, tail percentiles, and CDFs of
-//! buffer / memory-bandwidth utilization sampled on packet drops (Fig. 7).
-//! This crate provides those building blocks plus plain-text table and CSV
-//! output used by every experiment binary.
+//! an idealized no-contention baseline, and tail percentiles. This crate
+//! provides those building blocks: flow and query records ([`FlowSet`]),
+//! exact means and percentiles ([`Summary`]), streaming quantiles and
+//! rates for live telemetry ([`QuantileSketch`], [`EwmaRate`]), plain-text
+//! tables with CSV output ([`Table`]), and the one JSON reader and writer
+//! ([`Json`]) behind reports, shard files and JSON specs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

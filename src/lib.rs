@@ -9,13 +9,16 @@
 //! - [`hw`] — the cell-level traffic-manager model, head-drop circuits and
 //!   the hardware cost model (paper Table 1).
 //! - [`sim`] — the discrete-event network simulator (links, shared-memory
-//!   switches, DCTCP/CUBIC hosts, leaf-spine topologies).
+//!   and crosspoint-queued switches, DCTCP/CUBIC/Reno hosts, CBR sources,
+//!   a single-switch testbed and leaf-spine, fat-tree and 3-tier fabrics,
+//!   fault injection).
 //! - [`traffic`] — workload generators (web-search CDF, incast queries,
 //!   all-to-all, permutation, all-reduce double binary trees).
 //! - [`spec`] — declarative TOML/JSON scenario descriptions (parsed,
 //!   validated and re-emittable; `occamy-bench run --spec` compiles them
 //!   into experiment grids).
-//! - [`stats`] — FCT/QCT metrics, percentiles, CDFs and table output.
+//! - [`stats`] — FCT/QCT records, percentiles, quantile sketches, table,
+//!   CSV and JSON output.
 //!
 //! # Example
 //!
