@@ -5,7 +5,10 @@
 //! fails when any *headline* metric drifts beyond tolerance.
 //!
 //! Wall-clock fields (`wall_ms`, `events_per_sec`) vary run to run;
-//! they sit outside a cell's `metrics` and are not compared. The
+//! they sit outside a cell's `metrics` and are not compared, but the
+//! snapshots must be written frozen (`--freeze-perf`, every cell's
+//! `wall_ms` 0), so a committed snapshot is exactly what the recipe
+//! below writes rather than one host's timings. The
 //! `events` count is deterministic, so it must match exactly: a change
 //! that makes the engine do more (or less) work fails here even on a
 //! noisy host. Everything else — queries, QCT/FCT slowdowns, losses,
@@ -55,6 +58,13 @@ fn golden_dir() -> PathBuf {
     repo_path("golden")
 }
 
+/// The committed snapshot of scenario `name`, parsed.
+fn load_golden(name: &str) -> Json {
+    let path = golden_dir().join(format!("BENCH_{name}.json"));
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    Json::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
 /// Every tracked scenario: the registry ones, then the spec files.
 fn tracked() -> Vec<&'static dyn Scenario> {
     let registry = TRACKED
@@ -75,10 +85,7 @@ fn close(a: f64, b: f64) -> bool {
 fn headline_metrics_match_golden_snapshots() {
     for scenario in tracked() {
         let name = scenario.name();
-        let path = golden_dir().join(format!("BENCH_{name}.json"));
-        let text =
-            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        let golden = Json::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        let golden = load_golden(name);
         assert_eq!(
             golden.get("scale").and_then(Json::as_str),
             Some("smoke"),
@@ -134,6 +141,25 @@ fn headline_metrics_match_golden_snapshots() {
             }
             // Metrics present now but absent from the snapshot are fine
             // (new metrics get added).
+        }
+    }
+}
+
+#[test]
+fn golden_snapshots_are_frozen() {
+    for name in tracked().iter().map(|s| s.name()) {
+        let golden = load_golden(name);
+        let cells = golden
+            .get("results")
+            .and_then(Json::as_arr)
+            .unwrap_or_else(|| panic!("{name}: golden file has no results"));
+        for (i, cell) in cells.iter().enumerate() {
+            assert_eq!(
+                cell.get("wall_ms").and_then(Json::as_f64),
+                Some(0.0),
+                "{name} cell {i}: snapshot holds host timings; regenerate it with \
+                 --freeze-perf (recipe at the top of this file)"
+            );
         }
     }
 }

@@ -37,6 +37,14 @@
 //! and every bucket costs one `u32` head. The ring's 64 KiB of heads
 //! and its bitmap are allocated on the first arm that lands in it, so
 //! an empty queue allocates nothing.
+//!
+//! **Links live apart from entries.** A node is a 32-byte `(key, event)`
+//! record, aligned so it never straddles a cache line, plus a 4-byte
+//! link in a separate dense array. A drain follows a bucket's list
+//! through the links alone, so once a large fabric's slab outgrows the
+//! L2 cache the chase still runs in cache and the entry loads it feeds
+//! are independent of one another, instead of each waiting on the
+//! previous node's miss.
 
 use crate::event::Event;
 use crate::time::Ps;
@@ -75,13 +83,14 @@ pub(crate) const HORIZON_PS: Ps = (RING as Ps) << TICK_BITS;
 /// End-of-list marker for slab links.
 const NIL: u32 = u32::MAX;
 
-/// A pending entry in the slab, linked into one ring bucket or far slot
-/// (or, once drained, into the free list).
+/// A pending entry's record in the slab: key and event in 32 bytes,
+/// aligned so that no record straddles a cache line. The node's list
+/// link lives apart, in `TimerWheel::links`.
 #[derive(Clone, Copy)]
-struct Node {
+#[repr(align(32))]
+pub(crate) struct Entry {
     key: Key,
     event: Event,
-    next: u32,
 }
 
 /// Calendar ring + far lane holding `(key, event)` entries.
@@ -95,9 +104,13 @@ struct Node {
 /// - the far lane holds the rest. Each far entry's block lies after the
 ///   cursor's block, and `far.floor` is a lower bound on those blocks.
 pub(crate) struct TimerWheel {
-    /// Entry storage shared by ring buckets and far slots.
-    nodes: Vec<Node>,
-    /// Head of the free-node list through `Node::next`.
+    /// Slab records, one per node, shared by ring buckets and far slots.
+    entries: Vec<Entry>,
+    /// Each node's list link: the next node of its ring bucket, far slot
+    /// or the free list (`NIL` at the end), kept apart from `entries`
+    /// (see the module docs).
+    links: Vec<u32>,
+    /// Head of the free-node list through `links`.
     free: u32,
     /// Absolute tick of the last bucket drained into `ready`.
     cursor: u64,
@@ -118,7 +131,8 @@ pub(crate) struct TimerWheel {
 impl Default for TimerWheel {
     fn default() -> Self {
         TimerWheel {
-            nodes: Vec::new(),
+            entries: Vec::new(),
+            links: Vec::new(),
             free: NIL,
             cursor: 0,
             ready: Vec::new(),
@@ -151,15 +165,11 @@ impl TimerWheel {
             self.ready.insert(pos, (key, event));
             return;
         }
-        let n = self.alloc(Node {
-            key,
-            event,
-            next: NIL,
-        });
+        let n = self.alloc(Entry { key, event });
         if tick - self.cursor <= RING as u64 {
             self.ring_link(n, tick);
         } else {
-            self.far.link(&mut self.nodes, n, tick >> RING_BITS);
+            self.far.link(&mut self.links, n, tick >> RING_BITS);
         }
     }
 
@@ -179,18 +189,21 @@ impl TimerWheel {
         self.ready.pop()
     }
 
-    fn alloc(&mut self, node: Node) -> u32 {
+    /// Stores `entry` in a slab node, reusing a free one first. The
+    /// caller links the node.
+    fn alloc(&mut self, entry: Entry) -> u32 {
         if self.free != NIL {
             let n = self.free;
-            self.free = self.nodes[n as usize].next;
-            self.nodes[n as usize] = node;
+            self.free = self.links[n as usize];
+            self.entries[n as usize] = entry;
             return n;
         }
-        let n = u32::try_from(self.nodes.len())
+        let n = u32::try_from(self.entries.len())
             .ok()
             .filter(|&n| n != NIL)
             .expect("event queue exceeds u32 entries");
-        self.nodes.push(node);
+        self.entries.push(entry);
+        self.links.push(NIL);
         n
     }
 
@@ -206,7 +219,7 @@ impl TimerWheel {
         }
         let b = (tick & RING_MASK) as usize;
         let (w, bit) = (b / 64, 1u64 << (b % 64));
-        self.nodes[n as usize].next = if self.occ[w] & bit != 0 {
+        self.links[n as usize] = if self.occ[w] & bit != 0 {
             self.heads[b]
         } else {
             self.occ[w] |= bit;
@@ -230,7 +243,9 @@ impl TimerWheel {
             let next = self.ring_next();
             let limit = next.map_or(u64::MAX, |tick| tick >> RING_BITS);
             if limit >= self.far.floor {
-                if let Some((block, head)) = self.far.take_min(&mut self.nodes, limit) {
+                if let Some((block, head)) =
+                    self.far.take_min(&self.entries, &mut self.links, limit)
+                {
                     self.migrate(block, head);
                     continue;
                 }
@@ -287,9 +302,9 @@ impl TimerWheel {
         }
         let mut n = self.heads[b];
         while n != NIL {
-            let node = &mut self.nodes[n as usize];
-            self.ready.push((node.key, node.event));
-            let next = std::mem::replace(&mut node.next, self.free);
+            let e = &self.entries[n as usize];
+            self.ready.push((e.key, e.event));
+            let next = std::mem::replace(&mut self.links[n as usize], self.free);
             self.free = n;
             n = next;
         }
@@ -310,10 +325,10 @@ impl TimerWheel {
         debug_assert!(cursor >= self.cursor, "migration moved the cursor back");
         self.cursor = cursor;
         while head != NIL {
-            let node = self.nodes[head as usize];
+            let next = self.links[head as usize];
             self.far.len -= 1;
-            self.ring_link(head, node.key.0 >> TICK_BITS);
-            head = node.next;
+            self.ring_link(head, self.entries[head as usize].key.0 >> TICK_BITS);
+            head = next;
         }
     }
 
@@ -321,7 +336,8 @@ impl TimerWheel {
     #[cfg(test)]
     fn retained_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.nodes.capacity() * size_of::<Node>()
+        self.entries.capacity() * size_of::<Entry>()
+            + self.links.capacity() * size_of::<u32>()
             + self.ready.capacity() * size_of::<(Key, Event)>()
             + self.heads.capacity() * size_of::<u32>()
             + self.occ.capacity() * size_of::<u64>()
@@ -357,19 +373,19 @@ impl Default for FarLane {
 
 impl FarLane {
     /// Links node `n`, due in `block`, into its slot.
-    fn link(&mut self, nodes: &mut [Node], n: u32, block: u64) {
-        self.relink(nodes, n, block);
+    fn link(&mut self, links: &mut [u32], n: u32, block: u64) {
+        self.relink(links, n, block);
         self.len += 1;
         self.floor = self.floor.min(block);
     }
 
-    fn relink(&mut self, nodes: &mut [Node], n: u32, block: u64) {
+    fn relink(&mut self, links: &mut [u32], n: u32, block: u64) {
         debug_assert!(block >= self.cursor, "far entry behind the lane");
         let diff = block ^ self.cursor;
         // The highest 6-bit group in which the block differs (0 if none).
         let l = (63 - (diff | 1).leading_zeros()) as usize / FAR_SLOT_BITS as usize;
         let j = ((block >> (FAR_SLOT_BITS * l as u32)) & FAR_MASK) as usize;
-        nodes[n as usize].next = if self.occ[l] & (1 << j) != 0 {
+        links[n as usize] = if self.occ[l] & (1 << j) != 0 {
             self.heads[l][j]
         } else {
             self.occ[l] |= 1 << j;
@@ -386,7 +402,7 @@ impl FarLane {
     /// earliest slot is the first occupied one (from the cursor's index)
     /// of the lowest occupied level. A level-0 slot is exactly one
     /// block; a higher slot cascades one level down per step.
-    fn take_min(&mut self, nodes: &mut [Node], limit: u64) -> Option<(u64, u32)> {
+    fn take_min(&mut self, entries: &[Entry], links: &mut [u32], limit: u64) -> Option<(u64, u32)> {
         loop {
             if self.len == 0 {
                 self.floor = u64::MAX;
@@ -417,9 +433,8 @@ impl FarLane {
                 return Some((start, n));
             }
             while n != NIL {
-                let next = nodes[n as usize].next;
-                let block = nodes[n as usize].key.0 >> BLOCK_BITS;
-                self.relink(nodes, n, block);
+                let next = links[n as usize];
+                self.relink(links, n, entries[n as usize].key.0 >> BLOCK_BITS);
                 n = next;
             }
         }

@@ -8,9 +8,10 @@
 //! being drained, keys at the ring's horizon edge and past its wrap, a
 //! sparse ring, far-lane migration into an empty or busy ring, and
 //! `pop_at_most` limits inside a bucket. Every case is checked against
-//! a total `(time, seq)` sort.
+//! a total `(time, seq)` sort. One property also routes packets through
+//! the queue's pool while its slots recycle.
 
-use occamy_sim::{Event, EventQueue, Ps, MS, SEC};
+use occamy_sim::{Event, EventQueue, NodeId, Packet, PacketId, Ps, MS, SEC};
 use proptest::prelude::*;
 
 const BUCKET: Ps = EventQueue::BUCKET_PS;
@@ -284,5 +285,68 @@ proptest! {
         prop_assert_eq!(popped, due);
         prop_assert_eq!(h.q.len(), offs.len() - due);
         h.finish()?;
+    }
+
+    /// Packets through the queue while its pool recycles slots:
+    /// `push_arrival` at packet-scale delays (ring) and, for `op` 0,
+    /// milliseconds out (far lane), interleaved with pops. A popped
+    /// `Arrive` is redeemed at once (`op` 4) or held for later (`op` 5
+    /// and up), so live slots sit among free ones. Each event names its
+    /// push index in its node and each packet carries it in `seq`:
+    /// every `take_packet` must return the packet pushed with that
+    /// event, and events fire in `(time, seq)` order.
+    #[test]
+    fn arrivals_redeem_their_own_packets(
+        script in prop::collection::vec((0u8..8, 0u64..40_000_000u64), 1..600),
+    ) {
+        let mut q = EventQueue::new();
+        let mut model: Vec<(Ps, u64)> = Vec::new();
+        let mut fired: Vec<(Ps, u64)> = Vec::new();
+        let mut held: Vec<(PacketId, u32)> = Vec::new();
+        let mut now: Ps = 0;
+        let redeem = |q: &mut EventQueue, pkt: PacketId, index: u32| {
+            let got = q.take_packet(pkt).seq;
+            prop_assert_eq!(got, u64::from(index), "handle {} redeemed another packet", pkt);
+            Ok(())
+        };
+        for (op, delay) in script {
+            if op < 4 {
+                let index = model.len() as u32;
+                let at = now + if op == 0 { delay * 1_000 } else { delay };
+                let mut pkt = Packet::raw(0, 0, 1, 1_000, 0, now);
+                pkt.seq = u64::from(index);
+                q.push_arrival(at, NodeId::Host(index), pkt);
+                model.push((at, u64::from(index)));
+            } else if let Some((t, ev)) = q.pop() {
+                let Event::Arrive { node: NodeId::Host(index), pkt } = ev else {
+                    return Err(TestCaseError::fail("foreign event popped"));
+                };
+                prop_assert!(t >= now, "time went backwards: {t} after {now}");
+                now = t;
+                fired.push((t, u64::from(index)));
+                if op == 4 {
+                    redeem(&mut q, pkt, index)?;
+                } else {
+                    held.push((pkt, index));
+                }
+                // Redeem a held packet now and then, oldest or newest.
+                if op == 7 && !held.is_empty() {
+                    let (pkt, index) = if t % 2 == 0 { held.remove(0) } else { held.pop().unwrap() };
+                    redeem(&mut q, pkt, index)?;
+                }
+            }
+        }
+        while let Some((t, ev)) = q.pop() {
+            let Event::Arrive { node: NodeId::Host(index), pkt } = ev else {
+                return Err(TestCaseError::fail("foreign event popped"));
+            };
+            fired.push((t, u64::from(index)));
+            held.push((pkt, index));
+        }
+        for (pkt, index) in held {
+            redeem(&mut q, pkt, index)?;
+        }
+        model.sort_unstable();
+        prop_assert_eq!(fired, model);
     }
 }
