@@ -34,7 +34,9 @@ pub enum DropReason {
 #[derive(Debug, Clone)]
 pub struct QueueConfig {
     /// `α` control parameter per queue (paper Eq. 1). Usually a power of
-    /// two so hardware can compute `α · free` with a shift.
+    /// two so hardware can compute `α · free` with a shift; the software
+    /// schemes take the same shift for such `α`, with results identical
+    /// to the floating-point product.
     pub alpha: Vec<f64>,
     /// Drain capacity of each queue's egress port in bits/s (used by ABM's
     /// normalized dequeue rate).

@@ -1,6 +1,7 @@
 //! BShare — packet-queueing-delay-driven buffer sharing
 //! (Agarwal et al.; see PAPERS.md).
 
+use crate::dt::dt_threshold;
 use crate::{BufferManager, BufferState, DropReason, QueueConfig, QueueId, RateEstimator, Verdict};
 
 /// Default time constant for the per-queue drain-rate estimator.
@@ -95,7 +96,7 @@ impl BShare {
 
 impl BufferManager for BShare {
     fn threshold(&self, q: QueueId, state: &BufferState) -> u64 {
-        let dt_cap = (self.cfg.alpha[q] * state.free() as f64).min(state.capacity() as f64) as u64;
+        let dt_cap = dt_threshold(self.cfg.alpha[q], state.free(), state.capacity());
         self.delay_budget_bytes(q, state).min(dt_cap)
     }
 

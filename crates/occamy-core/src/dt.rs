@@ -4,14 +4,48 @@ use crate::{BufferManager, BufferState, DropReason, QueueConfig, QueueId, Verdic
 
 /// The DT admission threshold `trunc(min(α · free, B))` in bytes.
 ///
-/// Kept as a free function so the incremental over-allocation tracker
-/// ([`crate::OverAllocTracker`]) evaluates the *same* floating-point
-/// expression as admission — the bitmap must be bit-for-bit identical to
-/// a from-scratch comparator scan.
+/// Kept as a free function so every scheme with a DT cap, and the
+/// incremental over-allocation tracker ([`crate::OverAllocTracker`]),
+/// evaluates the *same* expression as admission — the bitmap must be
+/// bit-for-bit identical to a from-scratch comparator scan.
+///
+/// When `α = 2^k` ([`pow2_exponent`]) and both operands are below 2^53,
+/// the threshold is a shift, as in hardware. It is exactly the f64
+/// expression's value: below 2^53 `free` and `B` convert to f64
+/// exactly, scaling by `2^k` is exact for `k ∈ [−63, 63]`, and so
+/// `trunc(min(2^k · free, B))` is the integer `min(⌊2^k · free⌋, B)`.
+/// Every other `α` evaluates the f64 expression.
 #[inline]
 pub(crate) fn dt_threshold(alpha: f64, free: u64, capacity: u64) -> u64 {
+    if (free | capacity) < 1 << 53 {
+        if let Some(k) = pow2_exponent(alpha) {
+            return if k >= 0 {
+                if free > capacity >> k {
+                    capacity
+                } else {
+                    free << k
+                }
+            } else {
+                (free >> -k).min(capacity)
+            };
+        }
+    }
     let t = alpha * free as f64;
     t.min(capacity as f64) as u64
+}
+
+/// `k` such that `alpha == 2^k` exactly, for `k ∈ [−63, 63]`, read from
+/// α's bits: sign 0, mantissa 0 and a normal exponent in range. Zero,
+/// subnormal, negative, infinite and NaN `α` all give `None`.
+#[inline]
+pub(crate) fn pow2_exponent(alpha: f64) -> Option<i32> {
+    const MANTISSA: u64 = (1 << 52) - 1;
+    let bits = alpha.to_bits();
+    if bits & MANTISSA != 0 || bits >> 63 != 0 {
+        return None;
+    }
+    let k = (bits >> 52) as i32 - 1023;
+    (-63..=63).contains(&k).then_some(k)
 }
 
 /// Dynamic Threshold buffer management (Choudhury & Hahne, ToN 1998).
@@ -91,6 +125,62 @@ impl BufferManager for DynamicThreshold {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The f64 expression every shift must reproduce.
+    fn f64_threshold(alpha: f64, free: u64, capacity: u64) -> u64 {
+        (alpha * free as f64).min(capacity as f64) as u64
+    }
+
+    #[test]
+    fn pow2_exponent_reads_the_bits() {
+        for k in -63..=63 {
+            assert_eq!(pow2_exponent(2f64.powi(k)), Some(k), "2^{k}");
+        }
+        for alpha in [
+            0.0,
+            -0.0,
+            -2.0,
+            3.0,
+            7.77,
+            2f64.powi(64),
+            2f64.powi(-64),
+            f64::MIN_POSITIVE / 2.0, // subnormal
+            f64::from_bits(1),       // the least subnormal, 2^-1074
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ] {
+            assert_eq!(pow2_exponent(alpha), None, "α = {alpha:e}");
+        }
+    }
+
+    #[test]
+    fn shift_thresholds_match_the_f64_expression_at_the_edges() {
+        let below = (1u64 << 53) - 1;
+        let caps = [0, 1, 1_500, 400_000, below, 1 << 53, u64::MAX];
+        let mut alphas: Vec<f64> = [-63, -62, -1, 0, 1, 3, 62, 63]
+            .iter()
+            .map(|&k| 2f64.powi(k))
+            .collect();
+        alphas.extend([f64::MIN_POSITIVE / 2.0, -2.0, -0.5, f64::NAN, 0.0, 7.77]);
+        for &capacity in &caps {
+            for free in [0, 1, capacity / 3, capacity.saturating_sub(1), capacity] {
+                for &alpha in &alphas {
+                    assert_eq!(
+                        dt_threshold(alpha, free, capacity),
+                        f64_threshold(alpha, free, capacity),
+                        "α = {alpha:e}, free = {free}, B = {capacity}"
+                    );
+                }
+            }
+        }
+        // Exactly the shift below 2^53, on both sides of the cap.
+        assert_eq!(dt_threshold(8.0, 1_000, 400_000), 8_000);
+        assert_eq!(dt_threshold(8.0, 60_000, 400_000), 400_000);
+        assert_eq!(dt_threshold(0.25, 1_003, 400_000), 250);
+        assert_eq!(dt_threshold(2f64.powi(63), 1, below), below);
+        assert_eq!(dt_threshold(2f64.powi(-63), below, below), 0);
+    }
 
     fn dt(n: usize, alpha: f64) -> DynamicThreshold {
         DynamicThreshold::new(QueueConfig::uniform(n, 10_000_000_000, alpha))

@@ -26,7 +26,7 @@
 //! `2 · total ≤ T(α_min, free)`, so a partition parked at DT's
 //! one-queue steady state (`total ≈ T`) does not rebuild per packet.
 
-use crate::dt::dt_threshold;
+use crate::dt::{dt_threshold, pow2_exponent};
 use crate::maxtrack::MaxTracker;
 use crate::{BufferState, QueueBitmap, QueueId};
 use std::cmp::Reverse;
@@ -51,9 +51,6 @@ pub struct OverAllocTracker {
     /// `1/α` per queue, so the per-update flip-bound guess is a multiply
     /// instead of a divide.
     inv_alpha: Vec<f64>,
-    /// `k` where `α = 2^k`, for the exact integer flip-bound fast path
-    /// (every configuration in the paper uses power-of-two `α`).
-    pow2: Vec<Option<i8>>,
     /// The smallest `α`, whose threshold bounds every queue's from below.
     alpha_min: f64,
     capacity: u64,
@@ -88,12 +85,10 @@ impl OverAllocTracker {
     pub fn new(alpha: Vec<f64>) -> Self {
         let n = alpha.len();
         let inv_alpha = alpha.iter().map(|&a| 1.0 / a).collect();
-        let pow2 = alpha.iter().map(|&a| pow2_exponent(a)).collect();
         let alpha_min = alpha.iter().copied().fold(f64::INFINITY, f64::min);
         OverAllocTracker {
             alpha,
             inv_alpha,
-            pow2,
             alpha_min,
             capacity: 0,
             total: 0,
@@ -305,24 +300,18 @@ impl OverAllocTracker {
 
     #[inline]
     fn bound_of(&self, q: QueueId, len: u64) -> u64 {
-        match self.pow2[q] {
+        match pow2_exponent(self.alpha[q]) {
             // α = 2^k: the f64 product `α·F` is exact (dyadic times
             // integer), so the boundary has a closed integer form —
             // `min F with α·F ≥ len` — and the capacity clamp never
             // binds because `len ≤ capacity`.
             Some(k) if len > 0 => {
                 if k >= 0 {
-                    let k = k as u32;
-                    (len + (1u64 << k) - 1) >> k
+                    ((len - 1) >> k) + 1
+                } else if len.leading_zeros() >= (-k) as u32 {
+                    len << -k
                 } else {
-                    {
-                        let j = (-k) as u32;
-                        if len.leading_zeros() >= j {
-                            len << j
-                        } else {
-                            u64::MAX
-                        }
-                    }
+                    u64::MAX
                 }
             }
             _ => flip_bound(len, self.alpha[q], self.inv_alpha[q], self.capacity),
@@ -423,22 +412,6 @@ impl OverAllocTracker {
             }
         }
         over_count == self.over_count()
-    }
-}
-
-/// `k` such that `alpha == 2^k` exactly, if any.
-fn pow2_exponent(alpha: f64) -> Option<i8> {
-    if !alpha.is_finite() || alpha <= 0.0 {
-        return None;
-    }
-    let k = alpha.log2().round();
-    if (-60.0..=60.0).contains(&k)
-        && (k as i32 as f64 - k).abs() == 0.0
-        && 2f64.powi(k as i32) == alpha
-    {
-        Some(k as i8)
-    } else {
-        None
     }
 }
 

@@ -393,4 +393,37 @@ proptest! {
             prop_assert_eq!(bm.admit(q, 0, &state), Verdict::Accept);
         }
     }
+
+    /// DT's threshold is the f64 expression `trunc(min(α · free, B))` to
+    /// the bit, whether `α = 2^k` takes the shift or another `α` takes
+    /// the f64 path: for k ∈ [−63, 63], free ∈ [0, B] (both ends drawn
+    /// often) and B of every bit length, on both sides of 2^53.
+    #[test]
+    fn dt_shift_threshold_equals_the_f64_expression(
+        k in -63i32..64,
+        bits in 1u32..65,
+        raw in (0u64..u64::MAX, 0u64..u64::MAX),
+        mantissa in 1u64..1 << 52,
+        free_end in 0u8..4,
+    ) {
+        let capacity = (raw.0 >> (64 - bits)) | 1 << (bits - 1);
+        let free = match free_end {
+            0 => 0,
+            1 => capacity,
+            _ => raw.1 % capacity.saturating_add(1).max(1),
+        };
+        let pow2 = 2f64.powi(k);
+        // Same exponent, non-zero mantissa: never a power of two.
+        let other = f64::from_bits(pow2.to_bits() | mantissa);
+        let mut state = BufferState::new(capacity, 1);
+        state.enqueue(0, capacity - free).unwrap();
+        for alpha in [pow2, other] {
+            let dt = DynamicThreshold::new(QueueConfig::uniform(1, 1_000, alpha));
+            let want = (alpha * free as f64).min(capacity as f64) as u64;
+            prop_assert_eq!(
+                dt.threshold(0, &state), want,
+                "α = {:e}, free = {}, B = {}", alpha, free, capacity
+            );
+        }
+    }
 }

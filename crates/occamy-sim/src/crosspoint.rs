@@ -20,8 +20,7 @@
 //! determinism guarantee (repeat-run, serial vs `--threads N`, fault
 //! injection) unchanged.
 
-use crate::event::NodeId;
-use crate::packet::Packet;
+use crate::event::{NodeId, PacketDesc};
 use std::collections::VecDeque;
 
 /// How an output port picks among the crosspoint buffers in its column.
@@ -58,8 +57,8 @@ pub struct Crosspoint {
     /// crosspoints — the CQ design point that buffers shrink as the
     /// square of the radix.
     pub cap: u64,
-    /// Crosspoint FIFOs, indexed `out * n_in + in`.
-    pub queues: Vec<VecDeque<Packet>>,
+    /// Crosspoint FIFOs of packet descriptors, indexed `out * n_in + in`.
+    pub queues: Vec<VecDeque<PacketDesc>>,
     /// Bytes queued per crosspoint (mirrors `queues`).
     pub occ: Vec<u64>,
     /// Bytes queued per output column (Σ over its inputs) — the ECN
@@ -161,19 +160,17 @@ impl Crosspoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::Packet;
-
-    fn pkt(len: u32) -> Packet {
-        Packet::data(0, 0, 1, 0, len, 0, 0)
-    }
 
     fn push(xp: &mut Crosspoint, out: usize, inp: usize, len: u32) {
         let idx = xp.xp(out, inp);
-        let p = pkt(len);
-        xp.occ[idx] += p.wire_bytes();
-        xp.out_occ[out] += p.wire_bytes();
-        xp.total += p.wire_bytes();
-        xp.queues[idx].push_back(p);
+        let d = PacketDesc {
+            id: 0,
+            wire: len + crate::HDR_BYTES as u32,
+        };
+        xp.occ[idx] += d.wire_bytes();
+        xp.out_occ[out] += d.wire_bytes();
+        xp.total += d.wire_bytes();
+        xp.queues[idx].push_back(d);
     }
 
     #[test]

@@ -27,7 +27,7 @@
 
 use crate::cbr::CbrSource;
 use crate::crosspoint::encode_hop;
-use crate::event::{Event, EventQueue, NodeId, PacketId};
+use crate::event::{Event, EventQueue, NodeId, PacketDesc, PacketId};
 use crate::faults::{FaultKind, FaultSpec};
 use crate::host::Host;
 use crate::metrics::Metrics;
@@ -39,15 +39,27 @@ use crate::world::SamplerSpec;
 use crate::SimConfig;
 use occamy_core::{BufferManager, DropReason, Verdict};
 
-/// The event environment: where handlers schedule events, redeem
+/// The event environment: where handlers schedule events, hold
 /// interned packets and translate global component ids into storage
 /// indices. See the module doc for the two implementations.
+///
+/// Each link carries a packet interned by its transmitter
+/// ([`Env::push_arrival`]). A switch reads and marks the packet in
+/// place and queues only its [`PacketDesc`]; it redeems the packet
+/// ([`Env::take_packet`]) when the port transmits it, or frees the slot
+/// unread ([`Env::free_packet`]) when it drops it.
 pub(crate) trait Env {
     /// Schedules `ev` at absolute time `at`.
     fn push(&mut self, at: Ps, ev: Event);
     /// Interns `pkt` and schedules its arrival at `node`.
     fn push_arrival(&mut self, at: Ps, node: NodeId, pkt: Packet);
-    /// Redeems an [`Event::Arrive`] packet handle.
+    /// The interned packet `id`.
+    fn packet(&self, id: PacketId) -> &Packet;
+    /// The interned packet `id`, for an in-place update.
+    fn packet_mut(&mut self, id: PacketId) -> &mut Packet;
+    /// Releases interned packet `id` without reading it (a drop).
+    fn free_packet(&mut self, id: PacketId);
+    /// Redeems interned packet `id`, releasing its slot.
     fn take_packet(&mut self, id: PacketId) -> Packet;
     /// Storage index of host `h`.
     fn host_idx(&self, h: u32) -> usize;
@@ -64,14 +76,29 @@ pub(crate) trait Env {
 /// The serial environment: pushes go straight to the global queue and
 /// every id is its own storage index.
 impl Env for EventQueue {
-    #[inline]
+    #[inline(always)]
     fn push(&mut self, at: Ps, ev: Event) {
         EventQueue::push(self, at, ev);
     }
 
-    #[inline]
+    #[inline(always)]
     fn push_arrival(&mut self, at: Ps, node: NodeId, pkt: Packet) {
         EventQueue::push_arrival(self, at, node, pkt);
+    }
+
+    #[inline]
+    fn packet(&self, id: PacketId) -> &Packet {
+        EventQueue::packet(self, id)
+    }
+
+    #[inline]
+    fn packet_mut(&mut self, id: PacketId) -> &mut Packet {
+        EventQueue::packet_mut(self, id)
+    }
+
+    #[inline]
+    fn free_packet(&mut self, id: PacketId) {
+        EventQueue::free_packet(self, id);
     }
 
     #[inline]
@@ -145,13 +172,13 @@ pub(crate) fn execute_event<E: Env>(ctx: &mut Ctx<'_>, env: &mut E, t: Ps, ev: E
     ctx.now = t;
     ctx.metrics.events_processed += 1;
     match ev {
-        Event::Arrive { node, pkt } => {
-            let pkt = env.take_packet(pkt);
-            match node {
-                NodeId::Host(h) => host_rx(ctx, env, h, pkt),
-                NodeId::Switch(s) => switch_rx(ctx, env, s, pkt),
+        Event::Arrive { node, pkt } => match node {
+            NodeId::Host(h) => {
+                let pkt = env.take_packet(pkt);
+                host_rx(ctx, env, h, pkt);
             }
-        }
+            NodeId::Switch(s) => switch_rx(ctx, env, s, pkt),
+        },
         Event::PortFree { switch, port } => {
             let ls = env.switch_idx(switch);
             let port = port as usize;
@@ -368,27 +395,30 @@ fn cbr_emit<E: Env>(ctx: &mut Ctx<'_>, env: &mut E, source: u32) {
 // and thread it through free helper functions; the old
 // `self.switches[s]` re-borrow per sub-step showed up in profiles.
 
-fn switch_rx<E: Env>(ctx: &mut Ctx<'_>, env: &mut E, gs: u32, mut pkt: Packet) {
+fn switch_rx<E: Env>(ctx: &mut Ctx<'_>, env: &mut E, gs: u32, id: PacketId) {
     let now = ctx.now;
     let now_ns = ps_to_ns(now);
     let ecn_k = ctx.cfg.ecn_k_bytes;
     let cell = ctx.cfg.cell_bytes;
     let ls = env.switch_idx(gs);
     let sw = &mut ctx.switches[ls];
+    // The hop reads the packet in place and queues only its descriptor.
+    let pkt = env.packet(id);
+    let (dst, flow, prio) = (pkt.dst as usize, pkt.flow, pkt.prio);
+    let data = pkt.kind == PacketKind::Data;
+    let desc = PacketDesc::new(id, pkt);
     // Fault-free fast path: only a switch with a downed link pays for
     // the enabled-port scan.
     let port = if sw.n_disabled == 0 {
-        sw.routing.port_for(pkt.dst as usize, pkt.flow)
+        sw.routing.port_for(dst, flow)
     } else {
-        match sw
-            .routing
-            .port_for_enabled(pkt.dst as usize, pkt.flow, &sw.disabled_ports)
-        {
+        match sw.routing.port_for_enabled(dst, flow, &sw.disabled_ports) {
             Some(p) => p,
             None => {
                 // Every path to the destination is down (e.g. an edge
                 // down-link): the packet vanishes on this hop.
                 ctx.metrics.fault_drops += 1;
+                env.free_packet(id);
                 return;
             }
         }
@@ -396,24 +426,25 @@ fn switch_rx<E: Env>(ctx: &mut Ctx<'_>, env: &mut E, gs: u32, mut pkt: Packet) {
     if sw.xp.is_some() {
         // Crosspoint-queued switch: a parallel data path with no shared
         // buffer, no admission policy and no class queues.
-        xp_rx(sw, env, ctx.metrics, ecn_k, now, gs, port, pkt);
+        xp_rx(sw, env, ctx.metrics, ecn_k, now, gs, port, desc, data);
         return;
     }
-    let class = (pkt.prio as usize).min(sw.classes - 1);
+    let class = (prio as usize).min(sw.classes - 1);
     let pa = sw.port_partition[port];
     let qidx = sw.queue_index(port, class);
-    let wire = pkt.wire_bytes();
+    let wire = desc.wire_bytes();
     if sw.draining {
         // Drain window: admission refused while the ports empty the
         // buffer through the normal dequeue path.
         record_fault_drop_in(sw, ctx.metrics, pa, now_ns);
+        env.free_packet(id);
         return;
     }
     let part = &mut sw.partitions[pa];
 
     match part.bm.admit(qidx, wire, &part.state) {
         Verdict::Accept => {
-            enqueue_in(sw, pa, port, class, qidx, pkt, ecn_k, now_ns);
+            enqueue_in(sw, env, pa, port, class, qidx, desc, data, ecn_k, now_ns);
             pump_port(sw, env, cell, now, gs, port);
             if sw.partitions[pa].reactive {
                 try_expel_in(sw, env, ctx.metrics, cell, now, gs, pa);
@@ -427,25 +458,26 @@ fn switch_rx<E: Env>(ctx: &mut Ctx<'_>, env: &mut E, gs: u32, mut pkt: Packet) {
                 let Some(v) = part.bm.select_victim(&part.state) else {
                     break;
                 };
-                if !head_drop_in(sw, pa, v, now_ns) {
+                if !head_drop_in(sw, env, pa, v, now_ns) {
                     break;
                 }
                 ctx.metrics.drops.pushout_evictions += 1;
             }
             if sw.partitions[pa].state.free() >= wire {
-                enqueue_in(sw, pa, port, class, qidx, pkt, ecn_k, now_ns);
+                enqueue_in(sw, env, pa, port, class, qidx, desc, data, ecn_k, now_ns);
                 pump_port(sw, env, cell, now, gs, port);
             } else {
                 record_drop_in(sw, ctx.metrics, pa, now_ns, false);
+                env.free_packet(id);
             }
         }
         Verdict::Drop(reason) => {
             let threshold = reason == DropReason::OverThreshold;
             record_drop_in(sw, ctx.metrics, pa, now_ns, threshold);
+            env.free_packet(id);
             if sw.partitions[pa].reactive {
                 try_expel_in(sw, env, ctx.metrics, cell, now, gs, pa);
             }
-            let _ = &mut pkt; // dropped
         }
     }
 }
@@ -471,20 +503,22 @@ fn sample<E: Env>(ctx: &mut Ctx<'_>, env: &mut E, sampler: u32) {
     }
 }
 
-/// Enqueues an admitted packet into its partition and port queue,
-/// applying DCTCP CE marking.
+/// Enqueues an admitted packet's descriptor into its partition and port
+/// queue, applying DCTCP CE marking to the pooled packet.
 #[allow(clippy::too_many_arguments)]
-fn enqueue_in(
+fn enqueue_in<E: Env>(
     sw: &mut Switch,
+    env: &mut E,
     pa: usize,
     port: usize,
     class: usize,
     qidx: usize,
-    mut pkt: Packet,
+    desc: PacketDesc,
+    data: bool,
     ecn_k: u64,
     now_ns: u64,
 ) {
-    let wire = pkt.wire_bytes();
+    let wire = desc.wire_bytes();
     let part = &mut sw.partitions[pa];
     part.state
         .enqueue(qidx, wire)
@@ -493,10 +527,10 @@ fn enqueue_in(
     let qlen = part.state.queue_len(qidx);
     sw.write_rate.record(wire, now_ns);
     // DCTCP marking: CE when the instantaneous queue exceeds K.
-    if pkt.kind == PacketKind::Data && qlen > ecn_k {
-        pkt.ce = true;
+    if data && qlen > ecn_k {
+        env.packet_mut(desc.id).ce = true;
     }
-    sw.ports[port].queues[class].push_back(pkt);
+    sw.ports[port].queues[class].push_back(desc);
 }
 
 /// Records a refused arrival with its utilization context.
@@ -517,13 +551,14 @@ fn record_fault_drop_in(sw: &Switch, metrics: &mut Metrics, pa: usize, now_ns: u
 }
 
 /// Removes the head packet of partition-local queue `qidx` without
-/// transmitting it. Returns `false` if the queue was empty.
-fn head_drop_in(sw: &mut Switch, pa: usize, qidx: usize, now_ns: u64) -> bool {
+/// transmitting it, freeing its pool slot. Returns `false` if the
+/// queue was empty.
+fn head_drop_in<E: Env>(sw: &mut Switch, env: &mut E, pa: usize, qidx: usize, now_ns: u64) -> bool {
     let (port, class) = sw.queue_location(pa, qidx);
-    let Some(pkt) = sw.ports[port].queues[class].pop_front() else {
+    let Some(desc) = sw.ports[port].queues[class].pop_front() else {
         return false;
     };
-    let wire = pkt.wire_bytes();
+    let wire = desc.wire_bytes();
     let part = &mut sw.partitions[pa];
     part.state
         .dequeue(qidx, wire)
@@ -531,7 +566,9 @@ fn head_drop_in(sw: &mut Switch, pa: usize, qidx: usize, now_ns: u64) -> bool {
     part.bm.on_dequeue(qidx, wire, now_ns, &part.state);
     // A head drop costs PD/cell-pointer bandwidth, which the token
     // bucket charges, but never touches the cell data memory, so the
-    // read-rate estimator (data path) is not updated (paper §3.2).
+    // read-rate estimator (data path) is not updated, and the packet
+    // itself is never read (paper §3.2).
+    env.free_packet(desc.id);
     true
 }
 
@@ -547,25 +584,28 @@ fn xp_rx<E: Env>(
     now: Ps,
     gs: u32,
     port: usize,
-    mut pkt: Packet,
+    desc: PacketDesc,
+    data: bool,
 ) {
     let now_ns = ps_to_ns(now);
     let membw = sw.membw_util(now_ns);
     if sw.draining {
         let xp = sw.xp.as_ref().expect("xp_rx on a shared-memory switch");
         metrics.record_fault_drop(xp.util(), membw);
+        env.free_packet(desc.id);
         return;
     }
-    let wire = pkt.wire_bytes();
+    let wire = desc.wire_bytes();
     let xp = sw.xp.as_mut().expect("xp_rx on a shared-memory switch");
     let inp = xp
-        .input_for(pkt.last_hop)
+        .input_for(env.packet(desc.id).last_hop)
         .expect("packet arrived at a crosspoint switch from an unknown ingress");
     let idx = xp.xp(port, inp);
     if xp.occ[idx] + wire > xp.cap {
         // The dedicated crosspoint is full — the CQ analog of a
         // buffer-full tail drop (no threshold exists to exceed).
         metrics.record_drop(false, xp.util(), membw);
+        env.free_packet(desc.id);
         return;
     }
     xp.occ[idx] += wire;
@@ -573,10 +613,10 @@ fn xp_rx<E: Env>(
     xp.total += wire;
     // DCTCP marking on the output column: the sum over the column's
     // crosspoints is the CQ analog of the output queue length.
-    if pkt.kind == PacketKind::Data && xp.out_occ[port] > ecn_k {
-        pkt.ce = true;
+    if data && xp.out_occ[port] > ecn_k {
+        env.packet_mut(desc.id).ce = true;
     }
-    xp.queues[idx].push_back(pkt);
+    xp.queues[idx].push_back(desc);
     sw.write_rate.record(wire, now_ns);
     xp_pump_port(sw, env, now, gs, port);
 }
@@ -596,18 +636,31 @@ fn xp_pump_port<E: Env>(sw: &mut Switch, env: &mut E, now: Ps, gs: u32, port: us
         return;
     };
     let idx = xp.xp(port, inp);
-    let mut pkt = xp.queues[idx]
+    let desc = xp.queues[idx]
         .pop_front()
         .expect("crosspoint scheduler picked an empty buffer");
-    let wire = pkt.wire_bytes();
+    let wire = desc.wire_bytes();
     xp.occ[idx] -= wire;
     xp.out_occ[port] -= wire;
     xp.total -= wire;
     sw.read_rate.record(wire, now_ns);
+    transmit(sw, env, now, gs, port, desc);
+}
+
+/// Starts serializing `desc` on `port`: schedules the port's
+/// `PortFree`, redeems the packet, stamps its previous hop and sends it
+/// to the link's far end.
+///
+/// The packet is interned afresh rather than forwarded under its
+/// handle. The pool hands slots out in push order, so the next hop then
+/// reads packets in nearly the order of their slots; a packet kept in
+/// its sender's slot is read in the order of its hops instead, a miss
+/// per hop once the pool outgrows the cache (README §Performance).
+fn transmit<E: Env>(sw: &mut Switch, env: &mut E, now: Ps, gs: u32, port: usize, desc: PacketDesc) {
     let p = &mut sw.ports[port];
     let link = p.link;
     p.tx_busy = true;
-    let ser = tx_time_ps(wire, link.rate_bps);
+    let ser = tx_time_ps(desc.wire_bytes(), link.rate_bps);
     env.push(
         now + ser,
         Event::PortFree {
@@ -615,6 +668,7 @@ fn xp_pump_port<E: Env>(sw: &mut Switch, env: &mut E, now: Ps, gs: u32, port: us
             port: port as u32,
         },
     );
+    let mut pkt = env.take_packet(desc.id);
     pkt.last_hop = encode_hop(NodeId::Switch(gs));
     env.push_arrival(now + ser + link.prop_ps, link.to, pkt);
 }
@@ -634,10 +688,10 @@ fn pump_port<E: Env>(sw: &mut Switch, env: &mut E, cell: u64, now: Ps, gs: u32, 
     let Some(class) = p.sched.pick(&p.queues) else {
         return;
     };
-    let mut pkt = p.queues[class]
+    let desc = p.queues[class]
         .pop_front()
         .expect("scheduler picked an empty queue");
-    let wire = pkt.wire_bytes();
+    let wire = desc.wire_bytes();
     let pa = sw.port_partition[port];
     let qidx = sw.queue_index(port, class);
     let part = &mut sw.partitions[pa];
@@ -649,19 +703,7 @@ fn pump_port<E: Env>(sw: &mut Switch, env: &mut E, cell: u64, now: Ps, gs: u32, 
     // expulsion token balance negative (fixed-priority arbiter, §4.3).
     part.tb.force_take(wire.div_ceil(cell) as f64, now_ns);
     sw.read_rate.record(wire, now_ns);
-    let p = &mut sw.ports[port];
-    let link = p.link;
-    p.tx_busy = true;
-    let ser = tx_time_ps(wire, link.rate_bps);
-    env.push(
-        now + ser,
-        Event::PortFree {
-            switch: gs,
-            port: port as u32,
-        },
-    );
-    pkt.last_hop = encode_hop(NodeId::Switch(gs));
-    env.push_arrival(now + ser + link.prop_ps, link.to, pkt);
+    transmit(sw, env, now, gs, port, desc);
 }
 
 /// Occamy's reactive expulsion loop over one partition.
@@ -685,13 +727,16 @@ fn try_expel_in<E: Env>(
         };
         // Cost of expelling the head packet, in cells.
         let (port, class) = sw.queue_location(pa, v);
-        let Some(head_wire) = sw.ports[port].queues[class].front().map(|p| p.wire_bytes()) else {
+        let Some(head_wire) = sw.ports[port].queues[class]
+            .front()
+            .map(PacketDesc::wire_bytes)
+        else {
             return;
         };
         let cells = head_wire.div_ceil(cell) as f64;
         let part = &mut sw.partitions[pa];
         if part.tb.try_take(cells, now_ns) {
-            head_drop_in(sw, pa, v, now_ns);
+            head_drop_in(sw, env, pa, v, now_ns);
             metrics.drops.head_drops += 1;
         } else {
             // Not enough redundant bandwidth now: retry once the
@@ -740,7 +785,7 @@ fn fault_fire<E: Env>(ctx: &mut Ctx<'_>, env: &mut E, fault: u32) {
             }
             // Packets already serializing or propagating still deliver;
             // the hop's queued packets are lost with the link.
-            flush_port(sw, ctx.metrics, port, ps_to_ns(ctx.now));
+            flush_port(sw, env, ctx.metrics, port, ps_to_ns(ctx.now));
         }
         FaultKind::LinkUp { switch, port } => {
             let ls = env.switch_idx(switch);
@@ -792,17 +837,25 @@ fn fault_fire<E: Env>(ctx: &mut Ctx<'_>, env: &mut E, fault: u32) {
 
 /// Drops every packet queued on `port` (all classes) when its link goes
 /// down, keeping the partition's occupancy accounting and BM state
-/// consistent and recording each loss with utilization context.
-fn flush_port(sw: &mut Switch, metrics: &mut Metrics, port: usize, now_ns: u64) {
+/// consistent, freeing each packet's pool slot and recording each loss
+/// with utilization context.
+fn flush_port<E: Env>(
+    sw: &mut Switch,
+    env: &mut E,
+    metrics: &mut Metrics,
+    port: usize,
+    now_ns: u64,
+) {
     let membw = sw.membw_util(now_ns);
     if let Some(xp) = &mut sw.xp {
         for inp in 0..xp.n_in {
             let idx = xp.xp(port, inp);
-            while let Some(pkt) = xp.queues[idx].pop_front() {
-                let wire = pkt.wire_bytes();
+            while let Some(desc) = xp.queues[idx].pop_front() {
+                let wire = desc.wire_bytes();
                 xp.occ[idx] -= wire;
                 xp.out_occ[port] -= wire;
                 xp.total -= wire;
+                env.free_packet(desc.id);
                 metrics.record_fault_drop(xp.util(), membw);
             }
         }
@@ -811,8 +864,9 @@ fn flush_port(sw: &mut Switch, metrics: &mut Metrics, port: usize, now_ns: u64) 
     let pa = sw.port_partition[port];
     for class in 0..sw.classes {
         let qidx = sw.queue_index(port, class);
-        while let Some(pkt) = sw.ports[port].queues[class].pop_front() {
-            let wire = pkt.wire_bytes();
+        while let Some(desc) = sw.ports[port].queues[class].pop_front() {
+            let wire = desc.wire_bytes();
+            env.free_packet(desc.id);
             let part = &mut sw.partitions[pa];
             part.state
                 .dequeue(qidx, wire)

@@ -6,12 +6,22 @@
 //!
 //! - **Interned packets**: `Arrive` carries a [`PacketId`] into a slab
 //!   pool instead of the 48-byte [`Packet`], so a queue entry is 32
-//!   bytes. Pool slots are recycled on [`EventQueue::take_packet`],
+//!   bytes. Each transmitter interns the packet it sends
+//!   ([`EventQueue::push_arrival`]). A switch reads and marks it in
+//!   place and queues an 8-byte [`PacketDesc`], so a queued packet is
+//!   held once, in the pool; the slot is recycled when the packet is
+//!   transmitted or delivered ([`EventQueue::take_packet`]) or dropped,
 //!   making the steady-state loop allocation-free. The pool hands out
 //!   slots next-fit, in push order around the slab, and a packet is
-//!   redeemed about one link delay after its push, so redemptions walk
-//!   the slab nearly in order, a pattern the hardware prefetchers
-//!   follow even when the pool outgrows the cache.
+//!   first read about one link delay after its push, so those reads walk
+//!   the slab nearly in order, a pattern the hardware prefetchers follow
+//!   even when the pool outgrows the cache.
+//! - **Events written in place**: [`EventQueue::push`] and the wheel's
+//!   arm are inlined into every push site, so an event's fields are
+//!   stored from registers straight into its slab entry. Built on the
+//!   stack and passed by pointer, the event was stored as 4-byte words
+//!   and reloaded as 8-byte ones, a load the store buffer cannot
+//!   forward, so every push waited for its own stores to commit.
 //! - **Compact events**: indices are `u32`; periodic samplers live in the
 //!   world and are referenced by id.
 //! - **A one-hop calendar ring** ([`crate::timer::TimerWheel`]) instead
@@ -33,8 +43,9 @@
 //! bit-for-bit reproducible. Queue storage is O(peak pending events):
 //! ring and far entries share one slab that grows to the peak number of
 //! pending entries, the ring's fixed tables are allocated on first use,
-//! and the packet pool holds at most ⌈8/7 · peak in-flight packets⌉ + 1
-//! slots.
+//! and the packet pool holds at most ⌈8/7 · peak live packets⌉ + 1
+//! slots, a live packet being one in flight on a link or queued at a
+//! switch port.
 
 use crate::packet::{FlowId, Packet};
 use crate::time::Ps;
@@ -70,6 +81,36 @@ impl NodeId {
 /// Handle to a packet interned in the event queue's pool.
 pub type PacketId = u32;
 
+/// A queued packet's descriptor: its pool handle and the bytes it
+/// occupies in the buffer and on the wire — the simulator's
+/// counterpart of occamy-hw's `PacketDescriptor`. Port queues and
+/// crosspoint FIFOs hold these, so schedulers, expulsion and head
+/// drops never read the packet itself.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PacketDesc {
+    /// The packet's slot in the event queue's pool.
+    pub id: PacketId,
+    /// [`Packet::wire_bytes`] of the packet.
+    pub wire: u32,
+}
+
+impl PacketDesc {
+    /// The descriptor of `pkt`, interned under `id`.
+    #[inline]
+    pub fn new(id: PacketId, pkt: &Packet) -> Self {
+        PacketDesc {
+            id,
+            wire: u32::try_from(pkt.wire_bytes()).expect("packet exceeds u32 wire bytes"),
+        }
+    }
+
+    /// Bytes the packet occupies in the buffer and on the wire.
+    #[inline]
+    pub fn wire_bytes(&self) -> u64 {
+        u64::from(self.wire)
+    }
+}
+
 /// Discrete simulation events.
 #[derive(Debug, Clone, Copy)]
 pub enum Event {
@@ -77,7 +118,9 @@ pub enum Event {
     Arrive {
         /// Receiving node.
         node: NodeId,
-        /// The interned packet (redeem with [`EventQueue::take_packet`]).
+        /// The interned packet: a switch reads it in place and queues its
+        /// [`PacketDesc`], a host redeems it with
+        /// [`EventQueue::take_packet`].
         pkt: PacketId,
     },
     /// A switch egress port finished serializing its current packet.
@@ -181,11 +224,37 @@ impl PacketPool {
 
     #[inline]
     pub(crate) fn take(&mut self, id: PacketId) -> Packet {
+        let pkt = self.slots[id as usize];
+        self.free(id);
+        pkt
+    }
+
+    /// Releases slot `id` without reading its packet (a drop).
+    #[inline]
+    pub(crate) fn free(&mut self, id: PacketId) {
         let i = id as usize;
         debug_assert!(self.live[i], "packet {id} redeemed twice");
         self.live[i] = false;
         self.n_live -= 1;
-        self.slots[i]
+    }
+
+    /// The packet in live slot `id`.
+    #[inline]
+    pub(crate) fn get(&self, id: PacketId) -> &Packet {
+        debug_assert!(self.live[id as usize], "packet {id} read after release");
+        &self.slots[id as usize]
+    }
+
+    /// The packet in live slot `id`, for an in-place update.
+    #[inline]
+    pub(crate) fn get_mut(&mut self, id: PacketId) -> &mut Packet {
+        debug_assert!(self.live[id as usize], "packet {id} written after release");
+        &mut self.slots[id as usize]
+    }
+
+    /// Number of packets interned and not yet taken or freed.
+    pub(crate) fn live(&self) -> usize {
+        self.n_live
     }
 }
 
@@ -239,7 +308,7 @@ impl EventQueue {
     }
 
     /// Schedules `event` at absolute time `at`.
-    #[inline]
+    #[inline(always)]
     pub fn push(&mut self, at: Ps, event: Event) {
         let seq = self.seq();
         self.wheel.arm((at, seq), event);
@@ -256,7 +325,7 @@ impl EventQueue {
     }
 
     /// Interns `pkt` and schedules its arrival at `node`.
-    #[inline]
+    #[inline(always)]
     pub fn push_arrival(&mut self, at: Ps, node: NodeId, pkt: Packet) {
         let pkt = self.pool.insert(pkt);
         self.push(at, Event::Arrive { node, pkt });
@@ -266,6 +335,30 @@ impl EventQueue {
     #[inline]
     pub fn take_packet(&mut self, id: PacketId) -> Packet {
         self.pool.take(id)
+    }
+
+    /// The interned packet `id`.
+    #[inline]
+    pub(crate) fn packet(&self, id: PacketId) -> &Packet {
+        self.pool.get(id)
+    }
+
+    /// The interned packet `id`, for an in-place update.
+    #[inline]
+    pub(crate) fn packet_mut(&mut self, id: PacketId) -> &mut Packet {
+        self.pool.get_mut(id)
+    }
+
+    /// Releases interned packet `id` without reading it (a drop).
+    #[inline]
+    pub(crate) fn free_packet(&mut self, id: PacketId) {
+        self.pool.free(id);
+    }
+
+    /// Number of interned packets: in flight on a link or queued at a
+    /// switch port.
+    pub(crate) fn live_packets(&self) -> usize {
+        self.pool.live()
     }
 
     /// The lane holding the global `(time, seq)` minimum, with its key:

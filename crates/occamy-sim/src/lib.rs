@@ -77,7 +77,7 @@ mod world;
 pub use cbr::CbrSource;
 pub use config::SimConfig;
 pub use crosspoint::{Crosspoint, XpSched};
-pub use event::{Event, EventQueue, NodeId, PacketId};
+pub use event::{Event, EventQueue, NodeId, PacketDesc, PacketId};
 pub use faults::{
     Drain, FaultKind, FaultSchedule, FaultSpec, HostChurn, LinkFlap, ResilienceCounters,
 };

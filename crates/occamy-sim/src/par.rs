@@ -218,6 +218,18 @@ impl Env for DomainQueue {
         }
     }
 
+    fn packet(&self, id: PacketId) -> &Packet {
+        self.pool.get(id)
+    }
+
+    fn packet_mut(&mut self, id: PacketId) -> &mut Packet {
+        self.pool.get_mut(id)
+    }
+
+    fn free_packet(&mut self, id: PacketId) {
+        self.pool.free(id);
+    }
+
     fn take_packet(&mut self, id: PacketId) -> Packet {
         self.pool.take(id)
     }
@@ -318,9 +330,18 @@ pub(crate) fn run_parallel(world: &mut World, limit: Ps) -> ParStats {
     distribute(std::mem::take(&mut world.hosts), &plan.host_dom, |d, h| {
         shards[d].store.hosts.push(h)
     });
-    distribute(std::mem::take(&mut world.switches), &plan.sw_dom, |d, s| {
-        shards[d].store.switches.push(s)
-    });
+    // Queued descriptors point into the world's pool: move each packet
+    // into its switch's domain pool and rewrite the handle.
+    distribute(
+        std::mem::take(&mut world.switches),
+        &plan.sw_dom,
+        |d, mut s| {
+            rehome_queued(&mut s, |id| {
+                shards[d].q.pool.insert(world.events.take_packet(id))
+            });
+            shards[d].store.switches.push(s)
+        },
+    );
     let flows = std::mem::take(&mut world.flows);
     distribute(flows.hot, &plan.flow_dom, |d, f| {
         shards[d].store.hot.push(f)
@@ -443,6 +464,10 @@ pub(crate) fn run_parallel(world: &mut World, limit: Ps) -> ParStats {
             }
         }
         debug_assert!(sh.q.staged.is_empty() && sh.q.push_log.is_empty());
+        for s in &mut sh.store.switches {
+            rehome_queued(s, |id| world.events.intern(sh.q.pool.take(id)));
+        }
+        debug_assert_eq!(sh.q.pool.live(), 0, "a domain pool kept a packet");
         for host in &mut sh.store.hosts {
             for f in &mut host.ready {
                 *f = sh.q.plan.flow_gid[sh.q.dom as usize][*f as usize];
@@ -546,6 +571,17 @@ fn build_plan(world: &World, dm: &crate::topology::DomainMap) -> Plan {
 fn distribute<T>(items: Vec<T>, dom: &[u32], mut sink: impl FnMut(usize, T)) {
     for (i, item) in items.into_iter().enumerate() {
         sink(dom[i] as usize, item);
+    }
+}
+
+/// Rewrites the handle of every descriptor queued at `sw` (port queues
+/// and crosspoint FIFOs) through `moved`, which moves the packet from
+/// one pool into another and returns its new handle.
+fn rehome_queued(sw: &mut Switch, mut moved: impl FnMut(PacketId) -> PacketId) {
+    let xp_queues = sw.xp.iter_mut().flat_map(|xp| xp.queues.iter_mut());
+    let port_queues = sw.ports.iter_mut().flat_map(|p| p.queues.iter_mut());
+    for desc in port_queues.chain(xp_queues).flatten() {
+        desc.id = moved(desc.id);
     }
 }
 

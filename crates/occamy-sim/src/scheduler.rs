@@ -1,6 +1,6 @@
 //! Egress-port packet schedulers: FIFO, strict priority, DRR.
 
-use crate::packet::Packet;
+use crate::event::PacketDesc;
 use std::collections::VecDeque;
 
 /// A per-port scheduler choosing which class queue transmits next.
@@ -40,11 +40,12 @@ impl Scheduler {
         }
     }
 
-    /// Picks the class to dequeue from, given the class queues.
+    /// Picks the class to dequeue from, given the class queues of
+    /// packet descriptors (DRR reads only their wire bytes).
     ///
     /// Returns `None` if every queue is empty. Must be called exactly once
     /// per dequeued packet (DRR mutates its deficit state).
-    pub fn pick(&mut self, queues: &[VecDeque<Packet>]) -> Option<usize> {
+    pub fn pick(&mut self, queues: &[VecDeque<PacketDesc>]) -> Option<usize> {
         match self {
             Scheduler::Fifo | Scheduler::StrictPriority => {
                 queues.iter().position(|q| !q.is_empty())
@@ -99,9 +100,15 @@ impl Scheduler {
 mod tests {
     use super::*;
 
-    fn q(pkts: &[u32]) -> VecDeque<Packet> {
+    /// A class queue of descriptors for packets of the given payload
+    /// lengths (40 header bytes each, as [`crate::Packet::wire_bytes`]).
+    fn q(pkts: &[u32]) -> VecDeque<PacketDesc> {
         pkts.iter()
-            .map(|&len| Packet::data(0, 0, 1, 0, len, 0, 0))
+            .zip(0..)
+            .map(|(&len, id)| PacketDesc {
+                id,
+                wire: len + crate::HDR_BYTES as u32,
+            })
             .collect()
     }
 

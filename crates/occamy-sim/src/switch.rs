@@ -1,8 +1,7 @@
 //! The shared-memory switch: ports, class queues, buffer partitions.
 
 use crate::crosspoint::Crosspoint;
-use crate::event::NodeId;
-use crate::packet::Packet;
+use crate::event::{NodeId, PacketDesc};
 use crate::routing::RoutingTable;
 use crate::scheduler::Scheduler;
 use crate::time::Ps;
@@ -25,8 +24,9 @@ pub struct Link {
 pub struct SwitchPort {
     /// Outgoing link.
     pub link: Link,
-    /// Per-class packet queues (the PD linked lists of the hardware).
-    pub queues: Vec<VecDeque<Packet>>,
+    /// Per-class queues of packet descriptors (the PD linked lists of
+    /// the hardware); the packets stay in the event queue's pool.
+    pub queues: Vec<VecDeque<PacketDesc>>,
     /// Class scheduler.
     pub sched: Scheduler,
     /// Whether the port is mid-serialization.

@@ -158,19 +158,33 @@ impl TimerWheel {
 
     /// Inserts an entry. `key.0` may be at any time, including before
     /// the cursor (the entry then joins `ready` at its sorted position).
+    ///
+    /// Every key is first written to a slab node, so that, inlined into
+    /// the caller, the event goes from registers straight into its entry
+    /// (see the module docs); the rare key at or before the cursor moves
+    /// on to `ready` out of line.
+    #[inline(always)]
     pub fn arm(&mut self, key: Key, event: Event) {
+        let n = self.alloc(Entry { key, event });
         let tick = key.0 >> TICK_BITS;
         if tick <= self.cursor {
-            let pos = self.ready.partition_point(|e| e.0 > key);
-            self.ready.insert(pos, (key, event));
-            return;
-        }
-        let n = self.alloc(Entry { key, event });
-        if tick - self.cursor <= RING as u64 {
+            self.arm_ready(n);
+        } else if tick - self.cursor <= RING as u64 {
             self.ring_link(n, tick);
         } else {
             self.far.link(&mut self.links, n, tick >> RING_BITS);
         }
+    }
+
+    /// Moves node `n`'s entry, due at or before the cursor, into `ready`
+    /// at its sorted position, and frees the node.
+    #[cold]
+    fn arm_ready(&mut self, n: u32) {
+        let Entry { key, event } = self.entries[n as usize];
+        self.links[n as usize] = self.free;
+        self.free = n;
+        let pos = self.ready.partition_point(|e| e.0 > key);
+        self.ready.insert(pos, (key, event));
     }
 
     /// The earliest pending key, refilling `ready` if it is empty.
@@ -189,22 +203,32 @@ impl TimerWheel {
         self.ready.pop()
     }
 
-    /// Stores `entry` in a slab node, reusing a free one first. The
-    /// caller links the node.
+    /// Stores `entry` in a free slab node, growing the slab by one node
+    /// when none is free. The caller links the node.
+    #[inline(always)]
     fn alloc(&mut self, entry: Entry) -> u32 {
-        if self.free != NIL {
-            let n = self.free;
-            self.free = self.links[n as usize];
-            self.entries[n as usize] = entry;
-            return n;
+        if self.free == NIL {
+            self.grow();
         }
+        let n = self.free;
+        self.free = self.links[n as usize];
+        self.entries[n as usize] = entry;
+        n
+    }
+
+    /// Appends one node to the slab and puts it on the empty free list.
+    #[cold]
+    fn grow(&mut self) {
         let n = u32::try_from(self.entries.len())
             .ok()
             .filter(|&n| n != NIL)
             .expect("event queue exceeds u32 entries");
-        self.entries.push(entry);
+        self.entries.push(Entry {
+            key: (0, 0),
+            event: Event::HostTxFree { host: 0 },
+        });
         self.links.push(NIL);
-        n
+        self.free = n;
     }
 
     /// Links node `n`, due at `tick` in `(cursor, cursor + RING]`, into

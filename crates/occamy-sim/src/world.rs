@@ -366,6 +366,19 @@ impl World {
         } else {
             self.run_serial(limit);
         }
+        // Quiescent: no link carries a packet and no port queues one, so
+        // a pooled packet left over is a drop path that kept its slot.
+        debug_assert!(
+            !self.events.is_empty() || self.pooled_packets() == 0,
+            "{} packets leaked in the pool of a quiescent world",
+            self.pooled_packets()
+        );
+    }
+
+    /// Number of packets in the event queue's pool: each is in flight on
+    /// a link or queued at a switch port.
+    pub fn pooled_packets(&self) -> usize {
+        self.events.live_packets()
     }
 
     /// Whether this run takes the domain-decomposed parallel path.

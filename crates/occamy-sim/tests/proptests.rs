@@ -1,10 +1,16 @@
 //! Property-based tests for the simulator's deterministic components.
 
 use occamy_sim::{
-    CcAlgo, Event, EventQueue, FlowState, Packet, Scheduler, SimConfig, TransportConsts,
+    CcAlgo, Event, EventQueue, FlowState, Packet, PacketDesc, Scheduler, SimConfig, TransportConsts,
 };
 use proptest::prelude::*;
 use std::collections::VecDeque;
+
+/// A class queue of `n` descriptors of `len`-byte data packets.
+fn descs(n: usize, len: u32) -> VecDeque<PacketDesc> {
+    let pkt = Packet::data(0, 0, 1, 0, len, 0, 0);
+    (0..n as u32).map(|id| PacketDesc::new(id, &pkt)).collect()
+}
 
 proptest! {
     /// The event queue is a stable priority queue: pops are globally
@@ -63,10 +69,8 @@ proptest! {
     ) {
         let classes = sizes.len();
         let mut sched = Scheduler::drr(classes, quantum);
-        let mut queues: Vec<VecDeque<Packet>> = sizes
-            .iter()
-            .map(|&len| (0..4_000).map(|_| Packet::data(0, 0, 1, 0, len, 0, 0)).collect())
-            .collect();
+        let mut queues: Vec<VecDeque<PacketDesc>> =
+            sizes.iter().map(|&len| descs(4_000, len)).collect();
         let mut bytes = vec![0u64; classes];
         for _ in 0..3_000 {
             let c = sched.pick(&queues).unwrap();
@@ -88,10 +92,8 @@ proptest! {
     #[test]
     fn strict_priority_ordering(backlogs in prop::collection::vec(0usize..5, 2..6)) {
         let mut sched = Scheduler::StrictPriority;
-        let mut queues: Vec<VecDeque<Packet>> = backlogs
-            .iter()
-            .map(|&n| (0..n).map(|_| Packet::data(0, 0, 1, 0, 100, 0, 0)).collect())
-            .collect();
+        let mut queues: Vec<VecDeque<PacketDesc>> =
+            backlogs.iter().map(|&n| descs(n, 100)).collect();
         while let Some(c) = sched.pick(&queues) {
             for (higher, q) in queues.iter().enumerate().take(c) {
                 prop_assert!(q.is_empty(), "skipped class {}", higher);
